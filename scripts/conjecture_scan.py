@@ -11,9 +11,8 @@ unverified, not failed.
 import argparse
 import sys
 
+from frobpow.cli import check_conjecture
 from frobpow.ff import factor_prime_power
-from frobpow.invariants import full_gl_fixed_basis
-from frobpow.qseries import lrs_conjecture
 
 
 def prime_powers(limit):
@@ -25,21 +24,11 @@ def prime_powers(limit):
         yield q
 
 
-def checkable(q, n, m):
-    return q <= 3 and n <= 2 and m <= 2
-
-
 def scan_row(q, n, m):
-    series = lrs_conjecture(q, n, m)
-    if not checkable(q, n, m):
+    series, dims, match = check_conjecture(q, n, m)
+    if dims is None:
         return series.total, "unverified"
-    dims = [len(b) for b in full_gl_fixed_basis(q, n, m)]
-    top = max(len(dims) - 1, series.truncation)
-    for d in range(top + 1):
-        have = dims[d] if d < len(dims) else 0
-        if series[d] != have:
-            return series.total, "MISMATCH"
-    return series.total, "match"
+    return series.total, "match" if match else "MISMATCH"
 
 
 def main(argv=None):

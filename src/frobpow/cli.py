@@ -6,10 +6,16 @@ short human rendering on request) and diagnostics on stderr.  Exit codes:
 enumeration cap was exceeded, 10 the point-count conjecture mismatched its
 brute-force cross-check (a finding, not a bug).
 
+Each sweepable subcommand is one ``run_*`` function of (spec, m, caps) that
+returns its JSON payload and the status "ok" or "fail"; ``cmd_*`` renders it.
+
 The sweep subcommand replays a JSON manifest: a parameter grid, a list of
-subcommand names, an output directory, and enumeration caps.  Identical
-manifests produce byte-identical outputs; grid points violating the group
-constraints are skipped and counted.
+subcommand names, an output directory, and enumeration caps.  A job file is
+the single-command JSON plus "command" and "status".  hilbert jobs run as
+``--mode both``, or as ``--mode brute`` where no closed form exists; gbcheck
+jobs outside the h-generator range (ell < n - 1) have status "skip", jobs
+stopped by a cap "cap".  Identical manifests produce byte-identical outputs;
+grid points violating the group constraints are skipped and counted.
 """
 
 from __future__ import annotations
@@ -29,9 +35,10 @@ from .invariants import (
     DEFAULT_MONOMIAL_CAP, brute_force_hilbert, full_gl_fixed_basis,
     h_generators, verify_decomposition)
 from .orbits import DEFAULT_POINT_CAP, count_orbits_enum
-from .qseries import hilbert_for_spec, lrs_conjecture
+from .qseries import has_closed_form, hilbert_for_spec, lrs_conjecture
 
 SWEEP_COMMANDS = ("hilbert", "gbcheck", "decompose", "orbits")
+EXIT_CODES = {"ok": 0, "fail": 1}
 
 
 def _spec_from_args(args):
@@ -62,17 +69,6 @@ def _dump_json(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _series_window(series, truncate):
-    """Series JSON, re-windowed to the requested truncation degree."""
-    if truncate is None:
-        return series.to_json()
-    out = {"coeffs": [series[d] for d in range(truncate + 1)],
-           "truncation": truncate, "closed_form": series.closed_form}
-    if series.conjectural:
-        out["conjectural"] = True
-    return out
-
-
 def _emit(fmt, data, csv_rows, pretty_lines):
     if fmt == "json":
         sys.stdout.write(_dump_json(data))
@@ -84,106 +80,111 @@ def _emit(fmt, data, csv_rows, pretty_lines):
 
 # -- hilbert ----------------------------------------------------------------
 
+def _closed_form(spec, m):
+    formula = hilbert_for_spec(spec, m)
+    if formula is None:
+        raise ValueError("no closed-form series for this group; use --mode brute")
+    return formula
+
+
+def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
+    """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table."""
+    base = {"spec": spec.to_json(), "m": m, "mode": mode}
+    formula = None if mode == "brute" else _closed_form(spec, m)
+    brute = brute_force_hilbert(spec, m, max_monomials)
+    if formula is None:
+        return base | {"dims": list(brute.dims), "total": brute.total}, "ok"
+    top = max(len(brute.dims) - 1, formula.truncation) if truncate is None else truncate
+    table = [[d, formula[d], brute[d], formula[d] == brute[d]] for d in range(top + 1)]
+    equal = all(row[3] for row in table)
+    return base | {
+        "closed_form": formula.closed_form, "rows": table, "equal": equal,
+        "formula_total": formula.total, "brute_total": brute.total,
+    }, "ok" if equal else "fail"
+
+
 def cmd_hilbert(args):
     spec = _spec_from_args(args)
-    formula = None
-    if args.mode in ("formula", "both"):
-        formula = hilbert_for_spec(spec, args.m)
-        if formula is None:
-            print(
-                "no closed-form series for this group; use --mode brute",
-                file=sys.stderr,
-            )
-            return 2
-    base = {"spec": spec.to_json(), "m": args.m, "mode": args.mode}
     if args.mode == "formula":
-        view = _series_window(formula, args.truncate)
-        data = base | {"series": view, "total": formula.total}
-        rows = ["degree,coeff"] + [
-            f"{d},{c}" for d, c in enumerate(view["coeffs"])
-        ]
+        # pretty output shows the whole series, the JSON and CSV the window
+        formula = _closed_form(spec, args.m)
+        view = formula.to_json(args.truncate)
+        data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
+                "series": view, "total": formula.total}
+        rows = ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])]
         lines = [formula.closed_form, str(formula), f"total {formula.total}"]
         _emit(args.format, data, rows, lines)
         return 0
-    brute = brute_force_hilbert(spec, args.m, args.max_monomials)
+    data, status = run_hilbert(spec, args.m, args.mode, args.max_monomials, args.truncate)
     if args.mode == "brute":
-        data = base | {"dims": list(brute.dims), "total": brute.total}
-        rows = ["degree,dim"] + [f"{d},{c}" for d, c in enumerate(brute.dims)]
-        lines = [
-            " ".join(str(c) for c in brute.dims), f"total {brute.total}",
-        ]
-        _emit(args.format, data, rows, lines)
-        return 0
-    top = args.truncate
-    if top is None:
-        top = max(len(brute.dims) - 1, formula.truncation)
-    table = [
-        [d, formula[d], brute[d], formula[d] == brute[d]]
-        for d in range(top + 1)
-    ]
-    equal = all(row[3] for row in table)
-    data = base | {
-        "closed_form": formula.closed_form,
-        "rows": table,
-        "equal": equal,
-        "formula_total": formula.total,
-        "brute_total": brute.total,
-    }
-    rows = ["degree,formula,brute,equal"] + [
-        f"{d},{f},{b},{eq}" for d, f, b, eq in table
-    ]
-    lines = [formula.closed_form] + [
-        f"{d}: formula={f} brute={b}{'' if eq else '  <- mismatch'}"
-        for d, f, b, eq in table
-    ] + [f"totals {formula.total} vs {brute.total}", f"equal: {equal}"]
+        rows = ["degree,dim"] + [f"{d},{c}" for d, c in enumerate(data["dims"])]
+        lines = [" ".join(str(c) for c in data["dims"]), f"total {data['total']}"]
+    else:
+        rows = ["degree,formula,brute,equal"] + [
+            f"{d},{f},{b},{eq}" for d, f, b, eq in data["rows"]]
+        lines = [data["closed_form"]] + [
+            f"{d}: formula={f} brute={b}{'' if eq else '  <- mismatch'}"
+            for d, f, b, eq in data["rows"]]
+        lines += [f"totals {data['formula_total']} vs {data['brute_total']}",
+                  f"equal: {data['equal']}"]
     _emit(args.format, data, rows, lines)
-    return 0 if equal else 1
+    return EXIT_CODES[status]
 
 
 # -- gbcheck ----------------------------------------------------------------
 
+def run_gbcheck(spec, m, from_scratch=False):
+    """``gbcheck``: S-pair certificates; ValueError outside the h-generator range."""
+    report = buchberger_check(h_generators(spec, m), from_scratch=from_scratch)
+    return report.to_json(), "ok" if report.ok else "fail"
+
+
 def cmd_gbcheck(args):
-    spec = _spec_from_args(args)
-    report = buchberger_check(
-        h_generators(spec, args.m), from_scratch=args.from_scratch)
-    data = report.to_json()
-    rows = ["pair,remainder"] + [
-        f"\"{c['pair']}\",\"{c['remainder']}\"" for c in data["certificates"]
-    ]
-    lines = [f"generators: {' '.join(data['names'])}"] + [
-        f"{c['pair']}: {c['remainder']}" for c in data["certificates"]
-    ] + [f"ok: {report.ok}"]
+    data, status = run_gbcheck(_spec_from_args(args), args.m, args.from_scratch)
+    certificates = data["certificates"]
+    rows = ["pair,remainder"] + [f"\"{c['pair']}\",\"{c['remainder']}\"" for c in certificates]
+    lines = [f"generators: {' '.join(data['names'])}"]
+    lines += [f"{c['pair']}: {c['remainder']}" for c in certificates] + [f"ok: {data['ok']}"]
     _emit(args.format, data, rows, lines)
-    return 0 if report.ok else 1
+    return EXIT_CODES[status]
 
 
 # -- decompose --------------------------------------------------------------
 
+def run_decompose(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
+    """``decompose``: dims of A + B against the brute-force fixed space."""
+    report = verify_decomposition(spec, m, max_monomials)
+    return report.to_json(), "ok" if report.ok else "fail"
+
+
 def cmd_decompose(args):
-    spec = _spec_from_args(args)
-    report = verify_decomposition(spec, args.m, args.max_monomials)
-    lines = [
-        f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in report.rows
-    ] + list(report.mismatches) + [f"ok: {report.ok}"]
-    _emit(args.format, report.to_json(), report.to_csv().splitlines(), lines)
-    return 0 if report.ok else 1
+    data, status = run_decompose(_spec_from_args(args), args.m, args.max_monomials)
+    rows = ["degree,A,B,total,brute"] + [",".join(map(str, row)) for row in data["rows"]]
+    lines = [f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in data["rows"]]
+    lines += data["mismatches"] + [f"ok: {data['ok']}"]
+    _emit(args.format, data, rows, lines)
+    return EXIT_CODES[status]
 
 
 # -- orbits -----------------------------------------------------------------
 
+def run_orbits(spec, m, max_points=DEFAULT_POINT_CAP):
+    """``orbits``: enumerated orbit count against the closed formula."""
+    report = count_orbits_enum(spec, m, max_points)
+    return report.to_json(), "ok" if report.match else "fail"
+
+
 def cmd_orbits(args):
-    spec = _spec_from_args(args)
-    report = count_orbits_enum(spec, args.m, args.max_points)
-    data = report.to_json()
-    rows = ["size,multiplicity"] + [f"{s},{c}" for s, c in report.histogram]
-    hist = ", ".join(f"{c} of size {s}" for s, c in report.histogram)
+    data, status = run_orbits(_spec_from_args(args), args.m, args.max_points)
+    rows = ["size,multiplicity"] + [f"{s},{c}" for s, c in data["histogram"]]
+    hist = ", ".join(f"{c} of size {s}" for s, c in data["histogram"])
     lines = [
-        f"{report.orbit_count} orbits of {report.total_points} points",
+        f"{data['orbit_count']} orbits of {data['total_points']} points",
         f"histogram: {hist}",
-        f"formula {report.formula_value}: match={report.match}",
+        f"formula {data['formula_value']}: match={data['match']}",
     ]
     _emit(args.format, data, rows, lines)
-    return 0 if report.match else 1
+    return EXIT_CODES[status]
 
 
 # -- resolution2d -----------------------------------------------------------
@@ -209,43 +210,41 @@ def cmd_resolution2d(args):
 
 # -- conjecture -------------------------------------------------------------
 
+def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
+    """(series, brute dims, match) for the conjectured full-GL series.
+
+    Brute force runs only where it is feasible (q <= 3, n <= 2, m <= 2), and
+    elsewhere dims and match are None.  match compares every degree through
+    truncate, by default through the last degree of either side.
+    """
+    series = lrs_conjecture(q, n, m)
+    if not (q <= 3 and n <= 2 and m <= 2):
+        return series, None, None
+    dims = [len(b) for b in full_gl_fixed_basis(q, n, m, max_monomials)]
+    top = max(len(dims) - 1, series.truncation) if truncate is None else truncate
+    match = all(series[d] == (dims[d] if d < len(dims) else 0) for d in range(top + 1))
+    return series, dims, match
+
+
 def cmd_conjecture(args):
-    series = lrs_conjecture(args.q, args.n, args.m)
-    checked = args.q <= 3 and args.n <= 2 and args.m <= 2
-    dims = match = None
-    if checked:
-        basis = full_gl_fixed_basis(args.q, args.n, args.m, args.max_monomials)
-        dims = [len(b) for b in basis]
-        top = args.truncate
-        if top is None:
-            top = max(len(dims) - 1, series.truncation)
-        match = all(
-            series[d] == (dims[d] if d < len(dims) else 0)
-            for d in range(top + 1)
-        )
-    data = {
-        "q": args.q, "n": args.n, "m": args.m,
-        "series": _series_window(series, args.truncate),
-        "total": series.total,
-        "checked": checked, "brute_dims": dims, "match": match,
-    }
+    series, dims, match = check_conjecture(
+        args.q, args.n, args.m, args.max_monomials, args.truncate)
+    checked = dims is not None
+    data = {"q": args.q, "n": args.n, "m": args.m, "series": series.to_json(args.truncate),
+            "total": series.total, "checked": checked, "brute_dims": dims, "match": match}
     if checked:
         rows = ["degree,conjecture,brute"] + [
             f"{d},{series[d]},{dims[d] if d < len(dims) else 0}"
             for d in range(max(len(dims), series.truncation + 1))
         ]
     else:
-        rows = ["degree,coeff"] + [
-            f"{d},{c}" for d, c in enumerate(series.coeffs)
-        ]
+        rows = ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(series.coeffs)]
     lines = [series.closed_form, str(series)] + (
         [f"brute dims: {dims}", f"match: {match}"] if checked
         else ["brute cross-check skipped (only run for q <= 3, n <= 2, m <= 2)"]
     )
     _emit(args.format, data, rows, lines)
-    if checked and not match:
-        return 10
-    return 0
+    return 10 if checked and not match else 0
 
 
 # -- sweep ------------------------------------------------------------------
@@ -271,6 +270,9 @@ def _expand_manifest(manifest):
     if extra:
         raise ValueError(f"unknown caps: {sorted(extra)}")
     caps.update(manifest.get("caps", {}))
+    for name, value in caps.items():
+        if type(value) is not int:
+            raise ValueError(f"cap {name} must be an integer, not {value!r}")
     axes = [
         grid.get("p", []), grid.get("r", [1]), grid.get("n", []),
         grid.get("m", [1]), grid.get("ell", [None]), grid.get("e", [None]),
@@ -300,51 +302,39 @@ def _spec_tag(spec):
 
 
 def _sweep_job(job):
-    """One grid point, one subcommand; returns (payload, status)."""
+    """One grid point, one subcommand: its payload plus command and status."""
     spec = GroupSpec.from_json(job["spec"])
-    m, caps = job["m"], job["caps"]
-    base = {"spec": spec.to_json(), "m": m, "command": job["command"]}
+    command, m, caps = job["command"], job["m"], job["caps"]
     try:
-        if job["command"] == "hilbert":
-            formula = hilbert_for_spec(spec, m)
-            brute = brute_force_hilbert(spec, m, caps["max_monomials"])
-            if formula is None:
-                return base | {"mode": "brute", "dims": list(brute.dims),
-                               "total": brute.total}, "ok"
-            top = max(len(brute.dims) - 1, formula.truncation)
-            table = [
-                [d, formula[d], brute[d], formula[d] == brute[d]]
-                for d in range(top + 1)
-            ]
-            equal = all(row[3] for row in table)
-            payload = base | {"mode": "both", "rows": table, "equal": equal,
-                              "closed_form": formula.closed_form,
-                              "formula_total": formula.total,
-                              "brute_total": brute.total}
-            return payload, "ok" if equal else "fail"
-        if job["command"] == "gbcheck":
+        if command == "hilbert":
+            mode = "both" if has_closed_form(spec) else "brute"
+            payload, status = run_hilbert(spec, m, mode, caps["max_monomials"])
+        elif command == "gbcheck":
             try:
-                hgens = h_generators(spec, m)
+                payload, status = run_gbcheck(spec, m)
             except ValueError as exc:
-                return base | {"skipped": str(exc)}, "skip"
-            report = buchberger_check(hgens)
-            return base | report.to_json(), "ok" if report.ok else "fail"
-        if job["command"] == "decompose":
-            report = verify_decomposition(spec, m, caps["max_monomials"])
-            return base | report.to_json(), "ok" if report.ok else "fail"
-        report = count_orbits_enum(spec, m, caps["max_points"])
-        return base | report.to_json(), "ok" if report.match else "fail"
+                payload, status = {"spec": spec.to_json(), "m": m, "skipped": str(exc)}, "skip"
+        elif command == "decompose":
+            payload, status = run_decompose(spec, m, caps["max_monomials"])
+        else:
+            payload, status = run_orbits(spec, m, caps["max_points"])
     except CapExceeded as exc:
-        return base | {"error": str(exc)}, "cap"
+        payload, status = {"spec": spec.to_json(), "m": m, "error": str(exc)}, "cap"
+    return payload | {"command": command, "status": status}
 
 
 def cmd_sweep(args):
-    manifest = json.loads(Path(args.manifest).read_text())
+    workers = int(os.environ.get("FROBPOW_JOBS", "1")) if args.jobs is None else args.jobs
+    if workers < 1:
+        raise ValueError(f"sweep needs at least one worker, not {workers}")
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read the manifest: {exc}") from None
     jobs, skipped = _expand_manifest(manifest)
     if not jobs:
         print("manifest produced no valid grid points", file=sys.stderr)
         return 2
-    workers = args.jobs or int(os.environ.get("FROBPOW_JOBS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs))
@@ -354,23 +344,18 @@ def cmd_sweep(args):
     outdir.mkdir(parents=True, exist_ok=True)
     records = []
     counts = {"ok": 0, "fail": 0, "cap": 0, "skip": 0}
-    for job, (payload, status) in zip(jobs, results):
+    for job, payload in zip(jobs, results):
         tag = _spec_tag(GroupSpec.from_json(job["spec"]))
         name = f"{job['command']}_{tag}_m{job['m']}.json"
-        (outdir / name).write_text(_dump_json(payload | {"status": status}))
-        counts[status] += 1
-        records.append({"command": job["command"], "spec": tag,
-                        "m": job["m"], "status": status, "file": name})
-    summary = {"jobs": records, "counts": counts,
-               "skipped_grid_points": skipped}
+        (outdir / name).write_text(_dump_json(payload))
+        counts[payload["status"]] += 1
+        records.append({"command": job["command"], "spec": tag, "m": job["m"],
+                        "status": payload["status"], "file": name})
+    summary = {"jobs": records, "counts": counts, "skipped_grid_points": skipped}
     rows = ["command,spec,m,status,file"] + [
-        f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}"
-        for r in records
-    ]
-    lines = [
-        f"{r['command']} {r['spec']} m={r['m']}: {r['status']}"
-        for r in records
-    ] + [f"counts: {counts}"]
+        f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}" for r in records]
+    lines = [f"{r['command']} {r['spec']} m={r['m']}: {r['status']}" for r in records]
+    lines.append(f"counts: {counts}")
     _emit(args.format, summary, rows, lines)
     if counts["fail"]:
         return 1
@@ -393,6 +378,13 @@ def _spec_arguments(sub):
                      help="take the whole pointwise hyperplane stabilizer")
 
 
+def _degree(text):
+    degree = int(text)
+    if degree < 0:
+        raise argparse.ArgumentTypeError(f"a degree is nonnegative, not {text}")
+    return degree
+
+
 def _common_arguments(sub, m=True, monomials=False, points=False, truncate=False):
     if m:
         sub.add_argument("--m", type=int, required=True,
@@ -405,7 +397,7 @@ def _common_arguments(sub, m=True, monomials=False, points=False, truncate=False
         sub.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP,
                          help="enumeration cap for orbit points")
     if truncate:
-        sub.add_argument("--truncate", type=int,
+        sub.add_argument("--truncate", type=_degree,
                          help="series truncation degree override")
     sub.add_argument("--format", choices=("json", "csv", "pretty"),
                      default="json", help="stdout format")

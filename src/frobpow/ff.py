@@ -506,7 +506,7 @@ class MatrixFq:
         n = self.rows
         aug = np.zeros((n, 2 * n), dtype=np.int64)
         aug[:, :n] = _codes_matrix(self)
-        aug[np.arange(n), n + np.arange(n)] = encode_one(self.field)
+        aug[np.arange(n), n + np.arange(n)] = 1  # the code of one in every field
         pivots = _rref_codes(aug, self.field)
         if pivots != list(range(n)):
             raise ValueError("matrix not invertible")
@@ -521,10 +521,6 @@ class MatrixFq:
         return "[" + "; ".join(
             " ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
         ) + "]"
-
-
-def encode_one(field):
-    return 1  # code of the multiplicative identity in every supported field
 
 
 def _codes_matrix(m):

@@ -2,7 +2,7 @@
 initial-ideal Hilbert series, and the two-variable free resolution check.
 
 An f-coordinate polynomial is a plain Polynomial over the weighted f-ring
-attached to a BasicInvariants value; the alias FPoly marks that usage.
+attached to a BasicInvariants value.
 Subduction inverts the presentation of the invariant ring: the leading
 monomial of every basic invariant is the pure power x_i^{w_i}, so leading
 exponents determine the f-monomial uniquely.
@@ -15,11 +15,8 @@ from dataclasses import dataclass
 
 from .group import GroupSpec
 from .invariants import basic_invariants, expand_f, h_generators
-from .poly import (Polynomial, divide, leading_monomial, poly_str,
-                   reduce_mod_frobenius)
-from .qseries import RationalExpr, TruncatedSeries, expand, hilbert_A, hilbert_main_fp
-
-FPoly = Polynomial
+from .poly import divide, leading_monomial, poly_str, reduce_mod_frobenius
+from .qseries import RationalExpr, expand, hilbert_A, hilbert_main_fp
 
 
 def subduct(f, basics):
@@ -117,7 +114,7 @@ def buchberger_check(hgens, order=None, from_scratch=False):
     entries = hgens.as_list()
     names = tuple(name for name, _, _ in entries)
     hlist = [hf for _, hf, _ in entries]
-    Q = (hgens.spec.q if hgens.spec.full_stabilizer else hgens.spec.p) ** hgens.m
+    Q = hgens.spec.q ** hgens.m
     certificates = []
     ok = True
     for xpoly in hgens.x_polys():

@@ -19,7 +19,7 @@ import numpy as np
 from .ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, make_field, \
     nullspace_codes, rank_codes
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
-from .poly import Polynomial, PolyRing, reduce_mod_frobenius, substitute_linear
+from .poly import PolyRing, monomial_images, reduce_mod_frobenius, substitute_linear
 
 DEFAULT_MONOMIAL_CAP = 10 ** 6
 
@@ -41,29 +41,18 @@ class BasicInvariants:
 
 @functools.lru_cache(maxsize=None)
 def basic_invariants(spec):
-    """The literal generator list; each entry is checked against the group action."""
-    field, n = spec.field, spec.n
-    ring = PolyRing(field, n)
+    """The literal generator list; each entry is checked against the group action.
+
+    GroupSpec forces ell = 0 over a proper extension and ell = n - 1, e = q - 1
+    for the full stabilizer, so the binomials x_i^q - x_i x_n^(q-1), i < ell,
+    cover the prime-field family and the full stabilizer alike.
+    """
+    n, q = spec.n, spec.q
+    ring = PolyRing(spec.field, n)
     xs = [ring.variable(i) for i in range(n)]
-    polys = []
-    weights = []
-    if spec.full_stabilizer:
-        q = spec.q
-        for i in range(n - 1):
-            polys.append(xs[i] ** q - xs[i] * xs[n - 1] ** (q - 1))
-            weights.append(q)
-        polys.append(xs[n - 1] ** (q - 1))
-        weights.append(q - 1)
-    else:
-        p = spec.p
-        for i in range(spec.ell):
-            polys.append(xs[i] ** p - xs[i] * xs[n - 1] ** (p - 1))
-            weights.append(p)
-        for i in range(spec.ell, n - 1):
-            polys.append(xs[i])
-            weights.append(1)
-        polys.append(xs[n - 1] ** spec.e)
-        weights.append(spec.e)
+    polys = [xs[i] ** q - xs[i] * xs[n - 1] ** (q - 1) for i in range(spec.ell)]
+    polys += xs[spec.ell:n - 1] + [xs[n - 1] ** spec.e]
+    weights = [q] * spec.ell + [1] * (n - 1 - spec.ell) + [spec.e]
     for g in build_group(spec):
         inv = g.mat.inverse()
         for f in polys:
@@ -117,16 +106,15 @@ def h_generators(spec, m):
     """Generators of the intersection ideal in f-coordinates, with expansions.
 
     Requires the maximal-root-space case (ell = n - 1 over the prime field)
-    or the full stabilizer; w is the degree of the first basic invariants
-    (p, resp. q) and e divides w^m - 1 exactly.
+    or the full stabilizer; w = q is the degree of the first basic invariants
+    and e divides w^m - 1 exactly.
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
-    if not (spec.full_stabilizer or (spec.r == 1 and spec.ell == spec.n - 1)):
+    if spec.ell != spec.n - 1:
         raise ValueError("h-generators need ell = n - 1 or the full stabilizer")
     basics = basic_invariants(spec)
-    n, e = spec.n, spec.e
-    w = spec.q if spec.full_stabilizer else spec.p
+    n, e, w = spec.n, spec.e, spec.q
     P = w ** m
     fring = basics.f_ring()
     xring = basics.ring
@@ -208,52 +196,12 @@ def _split_generators(gens):
     return diagonal, general
 
 
-class _ActionImages:
-    """Images of quotient monomials under one generator's dual substitution."""
-
-    def __init__(self, g, ring, Q):
-        inv = g.mat.inverse()
-        self.Q = Q
-        self.rows = []
-        for j in range(ring.n):
-            img = ring.zero()
-            for i in range(ring.n):
-                c = inv.entry(j, i)
-                if c:
-                    img = img + ring.monomial(
-                        tuple(1 if t == i else 0 for t in range(ring.n)), c)
-            self.rows.append(img)
-        self.ring = ring
-        self._pows = [{0: ring.one()} for _ in range(ring.n)]
-
-    def _row_power(self, j, a):
-        cache = self._pows[j]
-        got = cache.get(a)
-        if got is None:
-            got = self.rows[j] ** a
-            cache[a] = got
-        return got
-
-    def image(self, exps):
-        """Reduced image terms of the monomial x^exps, as a dict."""
-        poly = None
-        for j, a in enumerate(exps):
-            if not a:
-                continue
-            part = self._row_power(j, a)
-            poly = part if poly is None else poly * part
-        if poly is None:
-            return {exps: self.ring.field.one()}
-        Q = self.Q
-        return {mono: c for mono, c in poly.terms.items() if all(x < Q for x in mono)}
-
-
 def _fixed_space(gens, field, n, Q, want_basis=False):
     """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q]."""
     ring = PolyRing(field, n)
     diagonal, general = _split_generators(gens)
     diag_inv = [tuple(d.inverse() for d in diag) for diag in diagonal]
-    engines = [_ActionImages(g, ring, Q) for g in general]
+    engines = [monomial_images(g.mat.inverse(), ring) for g in general]
     one = field.one()
     buckets = _degree_buckets(n, Q)
     dims = []
@@ -283,7 +231,7 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
         for gi, engine in enumerate(engines):
             base = gi * nrows
             for ci, mono in enumerate(cols):
-                img = dict(engine.image(mono))
+                img = reduce_mod_frobenius(engine(mono), Q).terms
                 img[mono] = img.get(mono, field.zero()) - one
                 for target, c in img.items():
                     if c:
@@ -339,7 +287,7 @@ def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 
 # -- the A/B decomposition --------------------------------------------------
 
-def _binomial_power_terms(var, b, w, n, Q, p):
+def _binomial_power_terms(b, w, Q, p):
     """Terms of (x_var^w - x_var x_n^{w-1})^b with the var exponent below Q."""
     out = []
     for j in range(b + 1):
@@ -366,28 +314,32 @@ def _wexp_vectors(weights, bound):
             yield (head,) + tail
 
 
-def _a_vectors(spec, m, cap):
-    """Reduced expansions of f-monomials, grouped by degree."""
+def _vector_setup(spec, m, cap):
+    """(Q, basic-invariant weights, top degree D, empty per-degree lists)."""
     Q = spec.q ** m
     _check_cap(Q, spec.n, cap)
-    basics = basic_invariants(spec)
-    field, n = spec.field, spec.n
-    p = spec.p
-    weights = basics.weights
-    D = n * (Q - 1)
-    binom_count = n - 1 if spec.full_stabilizer else spec.ell
-    w = spec.q if spec.full_stabilizer else spec.p
-    by_degree = [[] for _ in range(D + 1)]
+    D = spec.n * (Q - 1)
+    return Q, basic_invariants(spec).weights, D, [[] for _ in range(D + 1)]
+
+
+def _a_vectors(spec, m, cap):
+    """Reduced expansions of f-monomials, grouped by degree.
+
+    The first ell basic invariants are the binomials x_i^q - x_i x_n^(q-1),
+    the next ones the bare variables, the last a power of x_n.
+    """
+    Q, weights, D, by_degree = _vector_setup(spec, m, cap)
+    field, n, ell, q = spec.field, spec.n, spec.ell, spec.q
     for bvec in _wexp_vectors(weights, D):
         d = sum(wi * bi for wi, bi in zip(weights, bvec))
         terms = [((), field.one())]  # ((x-exponent per binomial var...), coeff)
         alive = True
-        for i in range(binom_count):
+        for i in range(ell):
             if not bvec[i]:
                 terms = [(exps + (0, 0), c) for exps, c in terms]
                 continue
             piece = [(evar, en, field.elem(cc))
-                     for evar, en, cc in _binomial_power_terms(i, bvec[i], w, n, Q, p)]
+                     for evar, en, cc in _binomial_power_terms(bvec[i], q, Q, spec.p)]
             if not piece:
                 alive = False
                 break
@@ -399,10 +351,10 @@ def _a_vectors(spec, m, cap):
         for exps, c in terms:
             full = [0] * n
             xn = 0
-            for i in range(binom_count):
+            for i in range(ell):
                 full[i] = exps[2 * i]
                 xn += exps[2 * i + 1]
-            for i in range(binom_count, n - 1):
+            for i in range(ell, n - 1):
                 full[i] = bvec[i]
             xn += bvec[n - 1] * weights[n - 1]
             if xn >= Q or any(x >= Q for x in full[:n - 1]):
@@ -421,42 +373,22 @@ def _a_vectors(spec, m, cap):
 
 
 def _b_vectors(spec, m, cap):
-    """Reduced spanning elements of the complement module, grouped by degree."""
-    Q = spec.q ** m
-    _check_cap(Q, spec.n, cap)
-    basics = basic_invariants(spec)
-    field, n, q = spec.field, spec.n, spec.q
-    weights = basics.weights
-    L = spec.ell
-    D = n * (Q - 1)
-    binom_count = n - 1 if spec.full_stabilizer else spec.ell
-    w = spec.q if spec.full_stabilizer else spec.p
-    by_degree = [[] for _ in range(D + 1)]
-    heads = [a for a in itertools.product(range(q), repeat=L) if sum(a) >= 2]
+    """Reduced spanning elements of the complement module, grouped by degree.
+
+    Multiplying by a basic invariant f_i, i < n, contributes only its pure
+    power term x_i^(deg f_i): any x_n contribution pushes past x_n^(Q-1).
+    """
+    Q, weights, D, by_degree = _vector_setup(spec, m, cap)
+    field, n, ell = spec.field, spec.n, spec.ell
+    heads = [a for a in itertools.product(range(spec.q), repeat=ell) if sum(a) >= 2]
     fweights = weights[: n - 1]
     for avec in heads:
         base_deg = sum(avec) + Q - 1
+        pad = avec + (0,) * (n - 1 - ell)
         for bvec in _wexp_vectors(fweights, D - base_deg):
-            d = base_deg + sum(wi * bi for wi, bi in zip(fweights, bvec))
-            # multiplication by a binomial generator contributes only its pure
-            # power term: any x_n contribution pushes past x_n^{Q-1}
-            full = [0] * n
-            coeff = field.one()
-            ok = True
-            for i in range(n - 1):
-                a_i = avec[i] if i < L else 0
-                if i < binom_count:
-                    e_i = w * bvec[i] + a_i
-                else:
-                    e_i = bvec[i] + a_i
-                if e_i >= Q:
-                    ok = False
-                    break
-                full[i] = e_i
-            if not ok:
-                continue
-            full[n - 1] = Q - 1
-            by_degree[d].append({tuple(full): coeff})
+            full = tuple(wi * bi + ai for wi, bi, ai in zip(fweights, bvec, pad))
+            if all(x < Q for x in full):
+                by_degree[sum(full) + Q - 1].append({full + (Q - 1,): field.one()})
     return by_degree
 
 
@@ -499,11 +431,6 @@ class DecompositionReport:
     rows: tuple          # (degree, dim A, dim B, A + B, brute)
     ok: bool
     mismatches: tuple
-
-    def to_csv(self):
-        lines = ["degree,A,B,total,brute"]
-        lines += [",".join(str(v) for v in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
 
     def to_json(self):
         return {

@@ -292,12 +292,13 @@ def divide(f, divisors, order):
     return quotients, Polynomial(f.ring, rem_terms)
 
 
-def substitute_linear(f, g):
-    """Replace x_j by the row-j combination sum_i g[j][i] x_i (a right action).
+def monomial_images(g, ring):
+    """x^a -> its image under the substitution of substitute_linear, by g.
 
-    See the module docstring for the convention and a worked example.
+    Returns a function of the exponent tuple a.  The image of x_j is the row-j
+    combination sum_i g[j][i] x_i; its powers are cached across calls, so
+    the images of many monomials under one matrix share the work.
     """
-    ring = f.ring
     if g.rows != ring.n or g.cols != ring.n or g.field != ring.field:
         raise ValueError("substitution matrix must be n x n over the ring's field")
     rows = []
@@ -308,23 +309,30 @@ def substitute_linear(f, g):
             if c:
                 img = img + ring.monomial(tuple(1 if t == i else 0 for t in range(ring.n)), c)
         rows.append(img)
-    pows = [{0: ring.one()} for _ in range(ring.n)]
+    pows = [{} for _ in range(ring.n)]
 
-    def row_power(j, a):
-        cache = pows[j]
-        got = cache.get(a)
-        if got is None:
-            got = rows[j] ** a
-            cache[a] = got
-        return got
-
-    out = ring.zero()
-    for m, c in f.terms.items():
-        term = ring.constant(c)
-        for j, a in enumerate(m):
+    def image(exps):
+        out = None
+        for j, a in enumerate(exps):
             if a:
-                term = term * row_power(j, a)
-        out = out + term
+                part = pows[j].get(a)
+                if part is None:
+                    part = pows[j][a] = rows[j] ** a
+                out = part if out is None else out * part
+        return ring.one() if out is None else out
+
+    return image
+
+
+def substitute_linear(f, g):
+    """Replace x_j by the row-j combination sum_i g[j][i] x_i (a right action).
+
+    See the module docstring for the convention and a worked example.
+    """
+    image = monomial_images(g, f.ring)
+    out = f.ring.zero()
+    for m, c in f.terms.items():
+        out = out + image(m) * c
     return out
 
 

@@ -37,8 +37,10 @@ class TruncatedSeries:
     def __getitem__(self, d):
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
 
-    def to_json(self):
-        out = {"coeffs": list(self.coeffs), "truncation": self.truncation,
+    def to_json(self, truncate=None):
+        """JSON form; a truncate degree re-windows the coefficients to 0..truncate."""
+        top = self.truncation if truncate is None else truncate
+        out = {"coeffs": [self[d] for d in range(top + 1)], "truncation": top,
                "closed_form": self.closed_form}
         if self.conjectural:
             out["conjectural"] = True
@@ -297,14 +299,19 @@ def lrs_conjecture(q, n, m, D=None):
     return _series(total, D, closed_form=label, conjectural=True)
 
 
-def hilbert_for_spec(spec, m, D=None):
-    """Closed-form series for a group spec, or None when no formula applies.
+def has_closed_form(spec):
+    """Whether hilbert_for_spec has a formula for the spec.
 
     The transvection-family formula needs the prime field; a proper-extension
     spec without the full stabilizer has no established closed form here.
     """
+    return spec.full_stabilizer or spec.r == 1
+
+
+def hilbert_for_spec(spec, m, D=None):
+    """Closed-form series for a group spec, or None when no formula applies."""
+    if not has_closed_form(spec):
+        return None
     if spec.full_stabilizer:
         return hilbert_stabilizer_fq(spec.q, spec.n, m, D)
-    if spec.r == 1:
-        return hilbert_main_fp(spec.p, spec.n, m, spec.ell, spec.e, D)
-    return None
+    return hilbert_main_fp(spec.p, spec.n, m, spec.ell, spec.e, D)

@@ -6,20 +6,35 @@ successors have been observed while tracing.  Guards compiled from `assert`
 statements are excluded: they are internal self-checks, not control flow of
 the operation under test.
 
-Works on the CPython 3.10 bytecode set via sys.settrace opcode events.
+Works on the CPython 3.10-3.12 bytecode sets via sys.settrace opcode events.
+The fall-through successor is the next listed instruction, which skips the
+inline cache entries that 3.11 and later place after some instructions.
 """
 
 import dis
 import inspect
 import sys
 
+# POP_JUMP_IF_* are the 3.10 and 3.12 names, POP_JUMP_FORWARD/BACKWARD_IF_*
+# the 3.11 ones; the rest are shared, or 3.10-only (JUMP_IF_NOT_EXC_MATCH).
 _CONDITIONAL = {
     "POP_JUMP_IF_FALSE",
     "POP_JUMP_IF_TRUE",
+    "POP_JUMP_IF_NONE",
+    "POP_JUMP_IF_NOT_NONE",
     "JUMP_IF_TRUE_OR_POP",
     "JUMP_IF_FALSE_OR_POP",
     "FOR_ITER",
     "JUMP_IF_NOT_EXC_MATCH",
+    "POP_JUMP_FORWARD_IF_FALSE",
+    "POP_JUMP_FORWARD_IF_TRUE",
+    "POP_JUMP_FORWARD_IF_NONE",
+    "POP_JUMP_FORWARD_IF_NOT_NONE",
+    "POP_JUMP_BACKWARD_IF_FALSE",
+    "POP_JUMP_BACKWARD_IF_TRUE",
+    "POP_JUMP_BACKWARD_IF_NONE",
+    "POP_JUMP_BACKWARD_IF_NOT_NONE",
+    "SEND",
 }
 
 _SKIP_NAMES = {"__repr__", "__str__", "__hash__"}
@@ -62,16 +77,11 @@ def code_objects(module, names):
 def branch_sites(code):
     """Map offset -> (jump target, fall-through) for every conditional jump."""
     instrs = list(dis.get_instructions(code))
-    by_offset = {i.offset: i for i in instrs}
     sites = {}
-    for ins in instrs:
-        if ins.opname not in _CONDITIONAL:
+    for ins, nxt in zip(instrs, instrs[1:]):
+        if ins.opname not in _CONDITIONAL or nxt.opname == "LOAD_ASSERTION_ERROR":
             continue
-        fall = ins.offset + 2
-        nxt = by_offset.get(fall)
-        if nxt is not None and nxt.opname == "LOAD_ASSERTION_ERROR":
-            continue
-        sites[ins.offset] = (ins.argval, fall)
+        sites[ins.offset] = (ins.argval, nxt.offset)
     return sites
 
 

@@ -217,7 +217,7 @@ def test_criterion_09_conjecture_cross_check():
 FF_CORE = ["make_field", "Field", "FieldElem", "root_of_unity",
            "binom_mod_p", "embed", "nullspace"]
 POLY_CORE = ["Polynomial", "cmp", "leading_monomial", "reduce_mod_frobenius",
-             "divide", "substitute_linear"]
+             "divide", "substitute_linear", "monomial_images"]
 GROUP_CORE = ["build_group", "enumerate_elements", "root_vector",
               "transvection_rootspace_dim"]
 GROEBNER_CORE = ["subduct", "buchberger_check", "initial_ideal_hilbert",

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from frobpow.cli import main
+from frobpow.cli import _dump_json, main
 
 GOLDEN_HILBERT_FORMULA = """\
 {
@@ -170,6 +170,14 @@ class TestHilbert:
         assert code == 2
         assert "not a prime power" in capsys.readouterr().err
 
+    def test_negative_truncate_exits_2(self, capsys):
+        # an empty table would otherwise compare equal and pass vacuously
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "--p", "3", "--n", "2", "--m", "1",
+                  "--truncate", "-1"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+
 
 class TestGbcheck:
     def test_example_spec(self, capsys):
@@ -218,6 +226,8 @@ class TestDecompose:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "degree,A,B,total,brute"
+        assert lines[1] == "0,1,0,1,1"
+        assert len(lines) == 4
 
     def test_pretty_mentions_ok(self, capsys):
         code = main(["decompose", "--p", "2", "--n", "2", "--m", "1",
@@ -320,6 +330,13 @@ class TestConjecture:
         assert data["match"] is None
         assert data["brute_dims"] is None
         assert data["series"]["conjectural"] is True
+
+    def test_negative_truncate_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["conjecture", "--q", "2", "--n", "1", "--m", "1",
+                  "--truncate", "-1"])
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
 
     def test_csv_when_checked(self, capsys):
         code = main(["conjecture", "--q", "2", "--n", "2", "--m", "1",
@@ -450,6 +467,74 @@ class TestSweep:
         manifest.write_text(json.dumps(content))
         assert main(["sweep", "--manifest", str(manifest)]) == 2
         assert "requires 'output_dir'" in capsys.readouterr().err
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--manifest", str(tmp_path / "absent.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read the manifest" in err
+        assert err.count("\n") == 1
+
+    def test_non_integer_cap_exits_2(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, caps={"max_monomials": "x"})
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "max_monomials must be an integer" in err
+        assert err.count("\n") == 1
+
+    def test_negative_jobs_exits_2(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path)
+        assert main(["sweep", "--manifest", str(manifest), "--jobs", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "at least one worker" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_job_files_are_single_command_output(self, tmp_path, capsys):
+        # r = 2, ell = 0 has no closed form (hilbert runs as --mode brute),
+        # ell = 0 groups are outside the h-generator range (gbcheck skips),
+        # and q = 9 exceeds both caps
+        manifest = write_manifest(
+            tmp_path,
+            grid={"p": [2, 3], "r": [1, 2], "n": [2], "m": [1],
+                  "ell": [0, 1], "e": [1, 3], "full_stabilizer": [False, True]},
+            commands=["hilbert", "gbcheck", "decompose", "orbits"],
+            caps={"max_monomials": 60, "max_points": 60})
+        assert main(["sweep", "--manifest", str(manifest)]) == 3
+        jobs = json.loads(capsys.readouterr().out)["jobs"]
+        statuses = {0: "ok", 1: "fail", 2: "skip", 3: "cap"}
+        seen = set()
+        for job in jobs:
+            data = json.loads((tmp_path / "out" / job["file"]).read_text())
+            spec = data["spec"]
+            argv = [job["command"], "--p", str(spec["p"]), "--r", str(spec["r"]),
+                    "--n", str(spec["n"]), "--m", str(job["m"])]
+            if spec["full_stabilizer"]:
+                argv.append("--full-stabilizer")
+            else:
+                argv += ["--ell", str(spec["ell"]), "--e", str(spec["e"])]
+            if job["command"] in ("hilbert", "decompose"):
+                argv += ["--max-monomials", "60"]
+            if job["command"] == "hilbert":
+                brute = spec["r"] > 1 and not spec["full_stabilizer"]
+                argv += ["--mode", "brute" if brute else "both"]
+            if job["command"] == "orbits":
+                argv += ["--max-points", "60"]
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 2:
+                single = {"spec": spec, "m": job["m"], "skipped": err.strip()}
+            elif code == 3:
+                single = {"spec": spec, "m": job["m"], "error": err.strip()}
+            else:
+                single = json.loads(out)
+            expected = single | {"command": job["command"], "status": statuses[code]}
+            assert (tmp_path / "out" / job["file"]).read_text() == _dump_json(expected)
+            seen.add((job["command"], statuses[code], data.get("mode")))
+        assert ("hilbert", "ok", "brute") in seen
+        assert ("hilbert", "ok", "both") in seen
+        assert ("gbcheck", "skip", None) in seen
+        assert {"ok", "cap"} <= {status for _, status, _ in seen}
 
     def test_all_invalid_grid_exits_2(self, tmp_path, capsys):
         manifest = write_manifest(

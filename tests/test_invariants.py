@@ -244,13 +244,11 @@ class TestDecomposition:
         assert sum(r[1] for r in rep.rows) == 4
         assert sum(r[2] for r in rep.rows) == 22
 
-    def test_csv_shape(self):
+    def test_json_shape(self):
         rep = verify_decomposition(GroupSpec(p=2, n=2, ell=1, e=1), 1)
-        lines = rep.to_csv().splitlines()
-        assert lines[0] == "degree,A,B,total,brute"
-        assert lines[1] == "0,1,0,1,1"
-        assert len(lines) == 4
         js = rep.to_json()
+        assert js["rows"][0] == [0, 1, 0, 1, 1]
+        assert len(js["rows"]) == 3
         assert js["ok"] is True and js["m"] == 1
 
     def test_b_membership_in_fixed_space(self):
