@@ -2,9 +2,10 @@
 
 Every subcommand prints machine output on stdout (JSON by default, CSV or a
 short human rendering on request) and diagnostics on stderr.  Exit codes:
-0 all checks pass, 1 a comparison failed, 2 invalid parameters, 3 an
-enumeration cap was exceeded, 10 the point-count conjecture mismatched its
-brute-force cross-check (a finding, not a bug).
+0 all checks pass, 1 a comparison failed, 2 invalid parameters, 3 a size
+cap was exceeded (monomials, points, series length or the memory budget of
+an elimination), 10 the point-count conjecture mismatched its brute-force
+cross-check (a finding, not a bug).
 
 Each sweepable subcommand is one ``run_*`` function of (spec, m, caps) that
 returns its JSON payload and the status "ok" or "fail"; ``cmd_*`` renders it.
@@ -80,20 +81,24 @@ def _emit(fmt, data, csv_rows, pretty_lines):
 
 # -- hilbert ----------------------------------------------------------------
 
-def _closed_form(spec, m):
-    formula = hilbert_for_spec(spec, m)
-    if formula is None:
+def _require_closed_form(spec):
+    if not has_closed_form(spec):
         raise ValueError("no closed-form series for this group; use --mode brute")
-    return formula
 
 
 def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
-    """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table."""
+    """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table.
+
+    Brute force runs first, so its cap on the Q^n monomials also bounds the
+    series length n(Q - 1) + 1 before the series is built.
+    """
     base = {"spec": spec.to_json(), "m": m, "mode": mode}
-    formula = None if mode == "brute" else _closed_form(spec, m)
+    if mode == "both":
+        _require_closed_form(spec)
     brute = brute_force_hilbert(spec, m, max_monomials)
-    if formula is None:
+    if mode == "brute":
         return base | {"dims": list(brute.dims), "total": brute.total}, "ok"
+    formula = hilbert_for_spec(spec, m)
     top = max(len(brute.dims) - 1, formula.truncation) if truncate is None else truncate
     table = [[d, formula[d], brute[d], formula[d] == brute[d]] for d in range(top + 1)]
     equal = all(row[3] for row in table)
@@ -107,7 +112,12 @@ def cmd_hilbert(args):
     spec = _spec_from_args(args)
     if args.mode == "formula":
         # pretty output shows the whole series, the JSON and CSV the window
-        formula = _closed_form(spec, args.m)
+        _require_closed_form(spec)
+        length = spec.n * (spec.q ** args.m - 1) + 1
+        if length > args.max_monomials:
+            raise CapExceeded(f"the series needs {length} coefficients, "
+                              f"above the cap of {args.max_monomials}")
+        formula = hilbert_for_spec(spec, args.m)
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
                 "series": view, "total": formula.total}
@@ -249,24 +259,45 @@ def cmd_conjecture(args):
 
 # -- sweep ------------------------------------------------------------------
 
+def _expect(value, kind, what):
+    if not isinstance(value, kind):
+        noun = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ValueError(f"{what} must be {noun}, not {value!r}")
+    return value
+
+
+def _grid_value_ok(axis, value):
+    if axis == "full_stabilizer":
+        return type(value) is bool
+    if axis == "m":
+        return type(value) is int and value >= 1
+    return type(value) is int or (value is None and axis in ("ell", "e"))
+
+
 def _expand_manifest(manifest):
     """Validated (jobs, skipped) from a manifest dict; jobs sorted by key."""
+    _expect(manifest, dict, "a manifest")
     unknown = set(manifest) - {"grid", "commands", "output_dir", "caps"}
     if unknown:
         raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
     for key in ("grid", "commands", "output_dir"):
         if key not in manifest:
             raise ValueError(f"manifest requires '{key}'")
-    grid = manifest["grid"]
+    grid = _expect(manifest["grid"], dict, "manifest 'grid'")
     unknown = set(grid) - {"p", "r", "n", "m", "ell", "e", "full_stabilizer"}
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}")
-    commands = manifest["commands"]
+    for axis, values in grid.items():
+        for value in _expect(values, list, f"grid axis '{axis}'"):
+            if not _grid_value_ok(axis, value):
+                raise ValueError(f"grid axis '{axis}' holds {value!r}, not a valid value")
+    commands = _expect(manifest["commands"], list, "manifest 'commands'")
     for cmd in commands:
         if cmd not in SWEEP_COMMANDS:
             raise ValueError(f"unknown sweep command: {cmd}")
+    _expect(manifest["output_dir"], str, "manifest 'output_dir'")
     caps = {"max_monomials": DEFAULT_MONOMIAL_CAP, "max_points": DEFAULT_POINT_CAP}
-    extra = set(manifest.get("caps", {})) - set(caps)
+    extra = set(_expect(manifest.get("caps", {}), dict, "manifest 'caps'")) - set(caps)
     if extra:
         raise ValueError(f"unknown caps: {sorted(extra)}")
     caps.update(manifest.get("caps", {}))

@@ -613,20 +613,11 @@ def nullspace_codes(a, field):
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
     pivots = _rref_codes(a, field)
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    if field.r == 1:
-        p = field.p
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for i, pc in enumerate(pivots):
-                basis[k, pc] = -a[i, fc] % p
-    else:
-        _, _, neg, _ = _tables(field)
-        for k, fc in enumerate(free):
-            basis[k, fc] = 1
-            for i, pc in enumerate(pivots):
-                basis[k, pc] = neg[a[i, fc]]
+    basis[np.arange(len(free)), free] = 1
+    block = a[:len(pivots), free].T
+    basis[:, pivots] = -block % field.p if field.r == 1 else _tables(field)[2][block]
     return basis
 
 

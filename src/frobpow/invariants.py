@@ -3,9 +3,21 @@ by a Frobenius power, computed degree by degree as exact linear algebra.
 
 The quotient by (x_1^Q, ..., x_n^Q) with Q = q^m has the monomial basis
 {x^a : a_i < Q}, graded by total degree.  Fixed spaces are computed from
-generators only: a diagonal generator acts diagonally on monomials and cuts
-the basis by an eigenvalue filter, every other generator contributes the
-matrix of (action - identity) to a stacked nullspace problem.
+generators only, on integer field codes in numpy arrays, with no field
+element objects per monomial:
+
+* a diagonal generator diag(d_1, ..., d_n) scales x^a, so it cuts the basis
+  to the monomials with sum a_i log d_i = 0 mod q - 1;
+* an elementary transvection whose inverse substitutes x_k -> x_k + c x_l
+  sends x^a to sum_j C(a_k, j) c^j x^(a - j e_k + j e_l), so its (g - 1)
+  columns are the terms j >= 1 with a_l + j < Q, their binomials mod p by
+  Lucas' theorem;
+* the (g - 1) blocks of all transvections are stacked per degree and
+  eliminated; any other kind of generator is rejected.
+
+Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
+enumerated; MATRIX_BYTE_CAP bounds the memory that eliminating the largest
+per-degree matrix takes, and is checked before any matrix is built.
 """
 
 from __future__ import annotations
@@ -16,12 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, make_field, \
-    nullspace_codes, rank_codes
+from .ff import CapExceeded, MatrixFq, _tables, binom_mod_p, factor_prime_power, \
+    make_field, nullspace_codes, rank_codes, root_of_unity
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
-from .poly import PolyRing, monomial_images, reduce_mod_frobenius, substitute_linear
+from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
 DEFAULT_MONOMIAL_CAP = 10 ** 6
+# Memory budget for eliminating one matrix.  Elimination holds the int64
+# matrix, its working copy and up to three same-shape temporaries in a row
+# update, so a cell costs it 40 bytes at the peak.
+MATRIX_BYTE_CAP = 512 * 2 ** 20
+_ELIM_BYTES_PER_CELL = 40
 
 
 @dataclass(frozen=True)
@@ -179,75 +196,169 @@ class HilbertFunction:
 
 @functools.lru_cache(maxsize=None)
 def _degree_buckets(n, Q):
-    buckets = [[] for _ in range(n * (Q - 1) + 1)]
-    for exps in itertools.product(range(Q), repeat=n):
-        buckets[sum(exps)].append(exps)
-    return tuple(tuple(b) for b in buckets)
+    """Exponent vectors of the quotient's monomials, one read-only array per degree.
+
+    Each array lists its monomials in itertools.product order, which is the
+    ascending order of their codes (see _codes).
+    """
+    grid = np.indices((Q,) * n, dtype=np.int16 if Q <= 2 ** 15 else np.int32)
+    grid = grid.reshape(n, -1).T
+    degrees = grid.sum(axis=1)
+    ordered = grid[np.argsort(degrees, kind="stable")]
+    sizes = np.bincount(degrees, minlength=n * (Q - 1) + 1)
+    buckets = np.split(ordered, np.cumsum(sizes)[:-1])
+    for bucket in buckets:
+        bucket.flags.writeable = False
+    return tuple(buckets)
 
 
-def _split_generators(gens):
-    diagonal, general = [], []
+def _codes(exps, Q):
+    """sum a_i Q^(n-1-i) per exponent row: its rank in itertools.product order."""
+    return exps @ Q ** np.arange(exps.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _discrete_logs(field):
+    """Nonzero element -> its logarithm to the base of the first primitive root."""
+    root = root_of_unity(field, field.order - 1)
+    logs, x = {}, field.one()
+    for k in range(field.order - 1):
+        logs[x] = k
+        x = x * root
+    return logs
+
+
+def _code_powers(c, field, count):
+    """Codes of c^0, ..., c^(count - 1) for the element with code c."""
+    powers = np.ones(count, dtype=np.int64)
+    mul = _tables(field)[1] if field.r > 1 else None
+    for j in range(1, count):
+        prev = int(powers[j - 1])
+        powers[j] = prev * c % field.p if mul is None else mul[prev, c]
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_binomials(p):
+    """C(u, v) mod p for u, v < p, read-only: the factors of Lucas' theorem."""
+    table = np.array([[binom_mod_p(u, v, p) for v in range(p)] for u in range(p)],
+                     dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _binomials(a, j, p):
+    """C(a, j) mod p elementwise, a product over base-p digits (Lucas)."""
+    out = np.ones_like(a)
+    while a.any():
+        out = out * _digit_binomials(p)[a % p, j % p] % p
+        a, j = a // p, j // p
+    return out
+
+
+def _split_generators(gens, Q):
+    """(logs, moves): the generators as integer data.
+
+    logs holds, per diagonal generator, the discrete logarithms of its
+    diagonal entries.  moves holds, per elementary transvection g, the triple
+    (k, l, powers) where g^{-1} substitutes x_k -> x_k + c x_l and powers[j]
+    is the code of c^j, j < Q.  Any other generator is a ValueError.
+    """
+    logs, moves = [], []
     for g in gens:
         mat = g.mat
-        if all(not mat.entry(i, j) for i in range(mat.rows) for j in range(mat.cols) if i != j):
-            diagonal.append(tuple(mat.entry(i, i) for i in range(mat.rows)))
+        diag = [mat.entry(i, i) for i in range(mat.rows)]
+        off = [(i, j) for i in range(mat.rows) for j in range(mat.cols)
+               if i != j and mat.entry(i, j)]
+        if not off:
+            table = _discrete_logs(mat.field)
+            logs.append(np.array([table[d] for d in diag], dtype=np.int64))
+        elif len(off) == 1 and all(d == 1 for d in diag):
+            (k, l), = off
+            c = mat.field.encode(-mat.entry(k, l))
+            moves.append((k, l, _code_powers(c, mat.field, Q)))
         else:
-            general.append(g)
-    return diagonal, general
+            raise ValueError(f"generator {g} is neither diagonal nor an elementary transvection")
+    return logs, moves
+
+
+def _fixed_by_diagonals(exps, logs, order):
+    """Mask of the monomials x^a that every diagonal generator fixes.
+
+    diag(d_1, ..., d_n) scales x^a by prod d_i^(-a_i), which is one exactly
+    when sum a_i log d_i = 0 mod order, the order of the multiplicative group.
+    """
+    keep = np.ones(len(exps), dtype=bool)
+    for log in logs:
+        keep &= exps @ log % order == 0
+    return keep
+
+
+def _transvection_terms(bucket_codes, cols, move, field, Q):
+    """Nonzero entries (rows, cols, codes) of g - 1 on one degree's columns.
+
+    g^{-1} substitutes x_k -> x_k + c x_l, so x^a goes to the sum over j of
+    C(a_k, j) c^j x^(a - j e_k + j e_l).  The j = 0 term cancels against the
+    identity and terms with a_l + j >= Q vanish in the quotient.  Rows index
+    the degree's bucket, whose codes are bucket_codes.
+    """
+    k, l, powers = move
+    ak = cols[:, k].astype(np.int64)
+    counts = np.minimum(ak, Q - 1 - cols[:, l])
+    col = np.repeat(np.arange(len(cols)), counts)
+    j = np.arange(len(col)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    coeff = _binomials(ak[col], j, field.p)
+    if field.r == 1:
+        code = coeff * powers[j] % field.p
+    else:
+        code = _tables(field)[1][coeff, powers[j]]
+    nz = code != 0
+    col, j = col[nz], j[nz]
+    n = cols.shape[1]
+    target = _codes(cols, Q)[col] + j * (Q ** (n - 1 - l) - Q ** (n - 1 - k))
+    return np.searchsorted(bucket_codes, target), col, code[nz]
+
+
+def _check_matrix_cap(shapes):
+    """CapExceeded when the largest (rows, cols) shape is too big to eliminate."""
+    rows, cols = max(shapes, key=lambda s: s[0] * s[1], default=(0, 0))
+    need = rows * cols * _ELIM_BYTES_PER_CELL
+    if need > MATRIX_BYTE_CAP:
+        raise CapExceeded(
+            f"a {rows} x {cols} matrix needs {need >> 20} MiB to eliminate, "
+            f"above the budget of {MATRIX_BYTE_CAP >> 20} MiB")
 
 
 def _fixed_space(gens, field, n, Q, want_basis=False):
     """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q]."""
-    ring = PolyRing(field, n)
-    diagonal, general = _split_generators(gens)
-    diag_inv = [tuple(d.inverse() for d in diag) for diag in diagonal]
-    engines = [monomial_images(g.mat.inverse(), ring) for g in general]
-    one = field.one()
+    logs, moves = _split_generators(gens, Q)
     buckets = _degree_buckets(n, Q)
+    columns = [bucket[_fixed_by_diagonals(bucket, logs, field.order - 1)]
+               for bucket in buckets]
+    _check_matrix_cap([(len(moves) * len(b), len(c)) for b, c in zip(buckets, columns)])
     dims = []
     basis = []
-    for bucket in buckets:
-        cols = []
-        for mono in bucket:
-            keep = True
-            for diag in diag_inv:
-                scalar = one
-                for d, a in zip(diag, mono):
-                    if a:
-                        scalar = scalar * d ** a
-                if scalar != one:
-                    keep = False
-                    break
-            if keep:
-                cols.append(mono)
-        if not engines or not cols:
+    for bucket, cols in zip(buckets, columns):
+        monos = [tuple(a) for a in cols.tolist()] if want_basis else None
+        if not moves or not len(cols):
             dims.append(len(cols))
             if want_basis:
-                basis.append([{mono: one} for mono in cols])
+                basis.append([{mono: field.one()} for mono in monos])
             continue
-        row_index = {mono: i for i, mono in enumerate(bucket)}
         nrows = len(bucket)
-        stacked = np.zeros((nrows * len(engines), len(cols)), dtype=np.int64)
-        for gi, engine in enumerate(engines):
-            base = gi * nrows
-            for ci, mono in enumerate(cols):
-                img = reduce_mod_frobenius(engine(mono), Q).terms
-                img[mono] = img.get(mono, field.zero()) - one
-                for target, c in img.items():
-                    if c:
-                        stacked[base + row_index[target], ci] = field.encode(c)
+        bucket_codes = _codes(bucket, Q)
+        stacked = np.zeros((nrows * len(moves), len(cols)), dtype=np.int64)
+        for gi, move in enumerate(moves):
+            rows, cidx, codes = _transvection_terms(bucket_codes, cols, move, field, Q)
+            stacked[gi * nrows + rows, cidx] = codes
+        if not want_basis:
+            dims.append(len(cols) - rank_codes(stacked, field))
+            continue
         kernel = nullspace_codes(stacked, field)
         dims.append(len(kernel))
-        if want_basis:
-            vecs = []
-            for krow in kernel:
-                vec = {}
-                for ci, code in enumerate(krow):
-                    if code:
-                        vec[cols[ci]] = field.decode(int(code))
-                vecs.append(vec)
-            basis.append(vecs)
-    return (dims, basis) if want_basis else (dims, None)
+        basis.append([{monos[ci]: field.decode(int(krow[ci])) for ci in np.flatnonzero(krow)}
+                      for krow in kernel])
+    return dims, (basis if want_basis else None)
 
 
 def _check_cap(Q, n, cap):
@@ -394,12 +505,13 @@ def _b_vectors(spec, m, cap):
 
 def _rank_by_degree(by_degree, field, n, Q):
     buckets = _degree_buckets(n, Q)
+    _check_matrix_cap([(len(vecs), len(b)) for vecs, b in zip(by_degree, buckets)])
     dims = []
-    for d, vecs in enumerate(by_degree):
+    for vecs, bucket in zip(by_degree, buckets):
         if not vecs:
             dims.append(0)
             continue
-        index = {mono: i for i, mono in enumerate(buckets[d])}
+        index = {mono: i for i, mono in enumerate(map(tuple, bucket.tolist()))}
         rows = np.zeros((len(vecs), len(index)), dtype=np.int64)
         for vi, vec in enumerate(vecs):
             for mono, c in vec.items():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -164,6 +165,32 @@ class TestHilbert:
                      "--max-monomials", "100"])
         assert code == 3
         assert "above the cap" in capsys.readouterr().err
+
+    def test_matrix_cap_exits_3_quickly(self, capsys):
+        # 27^4 monomials pass the default monomial cap; the top-degree
+        # stacked matrix (about 39k x 6.6k cells) does not fit the budget
+        start = time.perf_counter()
+        code = main(["hilbert", "--p", "3", "--n", "4", "--m", "3", "--mode", "brute"])
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "MiB to eliminate" in err
+        assert err.count("\n") == 1
+
+    def test_formula_cap_exits_3_before_expanding(self, capsys):
+        # the series would hold 2^32 coefficients
+        argv = ["hilbert", "--p", "2147483647", "--n", "2", "--m", "1"]
+        assert main(argv + ["--mode", "formula"]) == 3
+        assert "series needs 4294967293 coefficients" in capsys.readouterr().err
+        assert main(argv + ["--mode", "both"]) == 3
+        assert "monomials, above the cap" in capsys.readouterr().err
+
+    def test_formula_cap_bounds_series_length(self, capsys):
+        argv = ["hilbert", "--p", "3", "--n", "2", "--m", "1", "--mode", "formula"]
+        assert main(argv + ["--max-monomials", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 4
+        assert main(argv + ["--max-monomials", "4"]) == 3
+        assert "series needs 5 coefficients, above the cap of 4" in capsys.readouterr().err
 
     def test_bad_prime_power_exits_2(self, capsys):
         code = main(["hilbert", "--q", "12", "--n", "2", "--m", "1"])
@@ -535,6 +562,30 @@ class TestSweep:
         assert ("hilbert", "ok", "both") in seen
         assert ("gbcheck", "skip", None) in seen
         assert {"ok", "cap"} <= {status for _, status, _ in seen}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"p": 3, "n": [2]}}, "grid axis 'p' must be a list, not 3"),
+        ({"commands": "hilbert"}, "manifest 'commands' must be a list, not 'hilbert'"),
+        ({"grid": [2, 3]}, "manifest 'grid' must be an object"),
+        ({"grid": {"p": [3.5], "n": [2]}}, "grid axis 'p' holds 3.5"),
+        ({"grid": {"p": [3], "n": [2], "full_stabilizer": [1]}},
+         "grid axis 'full_stabilizer' holds 1"),
+        ({"grid": {"p": [3], "n": [2], "m": [1, 0]}}, "grid axis 'm' holds 0"),
+        ({"caps": [5]}, "manifest 'caps' must be an object"),
+        ({"output_dir": 7}, "manifest 'output_dir' must be a string"),
+    ])
+    def test_mistyped_manifest_exits_2(self, tmp_path, capsys, overrides, message):
+        manifest = write_manifest(tmp_path, **overrides)
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+
+    def test_manifest_must_be_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert "a manifest must be an object" in capsys.readouterr().err
 
     def test_all_invalid_grid_exits_2(self, tmp_path, capsys):
         manifest = write_manifest(

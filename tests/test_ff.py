@@ -292,6 +292,25 @@ def test_nullspace_annihilates_and_counts(fe, nr, nc, seed):
         assert rank_codes(basis, f) == len(basis)
 
 
+@given(field_and_elems(count=0), st.integers(1, 6), st.integers(1, 7), st.integers(0, 10 ** 9))
+def test_nullspace_matches_loop_reference(fe, nr, nc, seed):
+    # the canonical parameterization, filled one entry at a time
+    import numpy as np
+    from frobpow.ff import _rref_codes
+    f, _ = fe
+    rng = random.Random(seed)
+    rows = [[rng.choice([0, rng.randrange(f.order)]) for _ in range(nc)] for _ in range(nr)]
+    a = np.array(rows, dtype=np.int64)
+    pivots = _rref_codes(a, f)
+    free = [c for c in range(nc) if c not in pivots]
+    expected = np.zeros((len(free), nc), dtype=np.int64)
+    for k, fc in enumerate(free):
+        expected[k, fc] = 1
+        for i, pc in enumerate(pivots):
+            expected[k, pc] = f.encode(-f.decode(int(a[i, fc])))
+    assert np.array_equal(nullspace_codes(rows, f), expected)
+
+
 def test_kernel_size_exhaustive_extension_fields():
     # |ker| = q^nullity, counted by brute enumeration of all vectors
     rng = random.Random(11)

@@ -2,18 +2,23 @@
 
 import itertools
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobpow.ff import CapExceeded, factor_prime_power
-from frobpow.group import GroupSpec, act, build_group, group_elements
+from frobpow import invariants
+from frobpow.ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, make_field
+from frobpow.group import (
+    GroupElement, GroupSpec, act, build_group, full_gl_generators, group_elements)
 from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, full_gl_fixed_basis, h_generators,
-    verify_decomposition, _degree_buckets)
-from frobpow.poly import PolyRing, poly_str, reduce_mod_frobenius
+    verify_decomposition, _binomials, _codes, _degree_buckets,
+    _fixed_by_diagonals, _split_generators, _transvection_terms)
+from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
 
@@ -324,5 +329,123 @@ class TestRewriting:
     def test_degree_buckets_partition(self):
         buckets = _degree_buckets(2, 3)
         assert sum(len(b) for b in buckets) == 9
-        assert buckets[0] == ((0, 0),)
-        assert set(buckets[2]) == {(2, 0), (1, 1), (0, 2)}
+        assert buckets[0].tolist() == [[0, 0]]
+        assert buckets[2].tolist() == [[0, 2], [1, 1], [2, 0]]
+        # each bucket keeps itertools.product order
+        for n, Q in ((2, 3), (3, 4), (4, 2)):
+            flat = [tuple(a) for b in _degree_buckets(n, Q) for a in b.tolist()]
+            assert flat == sorted(itertools.product(range(Q), repeat=n), key=sum)
+
+
+# (generators, field, n, Q): every field named by the integer-code engine,
+# the full stabilizer, and all of GL_n(F_q) for q in {2, 3}
+ASSEMBLY_CASES = [
+    (build_group(GroupSpec(p=2, n=3, ell=2, e=1)), make_field(2), 3, 4),
+    (build_group(GroupSpec(p=3, n=3, ell=2, e=2)), make_field(3), 3, 9),
+    (build_group(GroupSpec(p=5, n=2, ell=1, e=4)), make_field(5), 2, 25),
+    (build_group(GroupSpec(p=5, n=3, ell=1, e=2)), make_field(5), 3, 5),
+    (build_group(GroupSpec(p=2, r=2, n=3, full_stabilizer=True)), make_field(2, 2), 3, 4),
+    (build_group(GroupSpec(p=2, r=2, n=2, ell=0, e=3)), make_field(2, 2), 2, 16),
+    (build_group(GroupSpec(p=2, r=3, n=2, full_stabilizer=True)), make_field(2, 3), 2, 8),
+    (build_group(GroupSpec(p=3, r=2, n=2, full_stabilizer=True)), make_field(3, 2), 2, 9),
+    (build_group(GroupSpec(p=3, n=2, full_stabilizer=True)), make_field(3), 2, 9),
+    (full_gl_generators(make_field(2), 3), make_field(2), 3, 4),
+    (full_gl_generators(make_field(3), 2), make_field(3), 2, 9),
+]
+
+
+def _case_id(case):
+    gens, field, n, Q = case
+    return f"GF{field.order}-n{n}-Q{Q}-{len(gens)}gens"
+
+
+class TestIntegerCodeAssembly:
+    """The brute oracle's matrices against the generic polynomial action."""
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
+    def test_transvection_columns_match_substitution(self, case):
+        gens, field, n, Q = case
+        ring = PolyRing(field, n)
+        for g in gens:
+            logs, moves = _split_generators([g], Q)
+            if logs:
+                continue
+            image = monomial_images(g.mat.inverse(), ring)
+            for bucket in _degree_buckets(n, Q):
+                monos = [tuple(a) for a in bucket.tolist()]
+                row_of = {mono: i for i, mono in enumerate(monos)}
+                expected = {}
+                for ci, mono in enumerate(monos):
+                    terms = dict(reduce_mod_frobenius(image(mono), Q).terms)
+                    terms[mono] = terms.get(mono, field.zero()) - 1
+                    for target, c in terms.items():
+                        if c:
+                            expected[row_of[target], ci] = field.encode(c)
+                rows, cols, codes = _transvection_terms(
+                    _codes(bucket, Q), bucket, moves[0], field, Q)
+                got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, codes)}
+                assert len(got) == len(rows)
+                assert got == expected
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
+    def test_diagonal_congruence_matches_field_product(self, case):
+        gens, field, n, Q = case
+        for g in gens + [GroupElement(MatrixFq.identity(field, n))]:
+            logs, moves = _split_generators([g], Q)
+            if moves:
+                continue
+            inv = [g.mat.entry(i, i).inverse() for i in range(n)]
+            for bucket in _degree_buckets(n, Q):
+                keep = _fixed_by_diagonals(bucket, logs, field.order - 1)
+                for a, kept in zip(bucket.tolist(), keep):
+                    scalar = field.one()
+                    for d, ai in zip(inv, a):
+                        scalar = scalar * d ** ai
+                    assert kept == (scalar == field.one())
+
+    def test_lucas_binomials_match_binom_mod_p(self):
+        pairs = [(a, j) for a in range(80) for j in range(a + 1)]
+        a = np.array([a for a, _ in pairs], dtype=np.int64)
+        j = np.array([j for _, j in pairs], dtype=np.int64)
+        for p in (2, 3, 5, 7, 11):
+            assert _binomials(a, j, p).tolist() == [binom_mod_p(x, y, p) for x, y in pairs]
+
+    def test_brute_oracle_never_calls_the_closed_forms(self):
+        calls = []
+
+        def watch(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.endswith("qseries.py"):
+                calls.append(frame.f_code.co_name)
+
+        invariants._brute_dims.cache_clear()
+        sys.setprofile(watch)
+        try:
+            brute_force_hilbert(GroupSpec(p=3, n=2, ell=1, e=2), 2)
+            brute_force_hilbert(GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 1)
+            full_gl_fixed_basis(3, 2, 1)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+
+    def test_other_generators_are_rejected(self):
+        field = make_field(3)
+        for rows in ([[1, 1], [1, 2]], [[2, 1], [0, 1]], [[1, 1, 1], [0, 1, 0], [0, 0, 1]]):
+            g = GroupElement(MatrixFq.from_rows(field, rows))
+            with pytest.raises(ValueError, match="neither diagonal nor"):
+                _split_generators([g], 9)
+
+    def test_matrix_cap_fires_before_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("eliminated past the matrix cap")
+
+        monkeypatch.setattr(invariants, "rank_codes", no_elimination)
+        invariants._brute_dims.cache_clear()
+        # passes the default monomial cap (27^4 = 531441) but its largest
+        # stacked matrix is about 39k x 6.6k cells
+        with pytest.raises(CapExceeded, match="MiB to eliminate"):
+            brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3)
+        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP", 100)
+        with pytest.raises(CapExceeded, match="above the budget of 0 MiB"):
+            verify_decomposition(GroupSpec(p=3, n=2, ell=1, e=2), 2)
+        with pytest.raises(CapExceeded, match="matrix needs"):
+            brute_force_hilbert(GroupSpec(p=2, n=3, ell=1, e=1), 2)
