@@ -302,8 +302,8 @@ def _expand_manifest(manifest):
         raise ValueError(f"unknown caps: {sorted(extra)}")
     caps.update(manifest.get("caps", {}))
     for name, value in caps.items():
-        if type(value) is not int:
-            raise ValueError(f"cap {name} must be an integer, not {value!r}")
+        if type(value) is not int or value < 1:
+            raise ValueError(f"cap {name} must be an integer of at least 1, not {value!r}")
     axes = [
         grid.get("p", []), grid.get("r", [1]), grid.get("n", []),
         grid.get("m", [1]), grid.get("ell", [None]), grid.get("e", [None]),
@@ -416,16 +416,23 @@ def _degree(text):
     return degree
 
 
+def _cap(text):
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"a cap is at least 1, not {text}")
+    return cap
+
+
 def _common_arguments(sub, m=True, monomials=False, points=False, truncate=False):
     if m:
         sub.add_argument("--m", type=int, required=True,
                          help="Frobenius power exponent")
     if monomials:
-        sub.add_argument("--max-monomials", type=int,
+        sub.add_argument("--max-monomials", type=_cap,
                          default=DEFAULT_MONOMIAL_CAP,
                          help="enumeration cap for quotient monomials")
     if points:
-        sub.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP,
+        sub.add_argument("--max-points", type=_cap, default=DEFAULT_POINT_CAP,
                          help="enumeration cap for orbit points")
     if truncate:
         sub.add_argument("--truncate", type=_degree,

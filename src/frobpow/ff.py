@@ -7,14 +7,15 @@ tuples compared low-degree first), and roots of unity are the first elements
 of the required order in the fixed element enumeration.
 
 Elements are immutable values stored fully reduced; equality is coefficient
-equality.  Matrices are dense.  The row-reduction kernel switches between
-direct residue arithmetic (r = 1) and precomputed lookup tables (r > 1) so
-the heavy fixed-space computations elsewhere in the package run on plain
-integer arrays end to end.
+equality.  Matrices are dense.  Heavy loops run on integer codes (see
+:meth:`Field.encode`) in int64 arrays through :func:`code_arithmetic`, the one
+place that picks residues mod p (r = 1) or lookup tables (r > 1).  Residue
+products must fit in an int64, so prime fields need p <= 3037000500.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TABLE_LIMIT = 4096  # largest field order for which lookup tables are built
+_MAX_CODE_PRIME = math.isqrt(2 ** 63 - 1) + 1  # largest p with (p - 1)^2 in an int64
 
 
 class CapExceeded(RuntimeError):
@@ -554,36 +556,43 @@ def _tables(field):
     return add, mul, neg, inv
 
 
+# Elementwise code arithmetic of one field, on ints and int64 arrays alike.
+# reduce(a) canonicalizes an array in place; submul(rows, factors, pivot) is
+# rows - factors (x) pivot, one elimination step on a block of rows.
+CodeArithmetic = collections.namedtuple("CodeArithmetic", "reduce mul neg inv submul")
+
+
+@functools.lru_cache(maxsize=None)
+def code_arithmetic(field):
+    """The field's CodeArithmetic: residues mod p if r = 1, else :func:`_tables`.
+
+    ValueError when a product of two residues would overflow an int64.
+    """
+    if field.r > 1:
+        add, mul, neg, inv = _tables(field)
+        return CodeArithmetic(
+            reduce=lambda a: None,  # table codes are canonical by construction
+            mul=lambda a, b: mul[a, b], neg=lambda a: neg[a], inv=lambda a: inv[a],
+            submul=lambda rows, factors, pivot: add[rows, mul[neg[factors][:, None], pivot]])
+    p = field.p
+    if p > _MAX_CODE_PRIME:
+        raise ValueError(f"GF({p}) is too large for int64 code arithmetic: "
+                         f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
+    return CodeArithmetic(
+        reduce=lambda a: np.remainder(a, p, out=a),
+        mul=lambda a, b: a * b % p, neg=lambda a: -a % p,
+        inv=lambda a: pow(int(a), p - 2, p),
+        submul=lambda rows, factors, pivot: (rows - np.outer(factors, pivot)) % p)
+
+
 def _rref_codes(a, field):
     """In-place reduced row echelon form on an integer-code matrix; pivot columns."""
+    codes = code_arithmetic(field)
+    codes.reduce(a)
     rows, cols = a.shape
     pivots = []
-    if rows == 0 or cols == 0:
-        return pivots
-    if field.r == 1:
-        p = field.p
-        a %= p
-        rank = 0
-        for col in range(cols):
-            if rank == rows:
-                break
-            nz = np.nonzero(a[rank:, col])[0]
-            if nz.size == 0:
-                continue
-            piv = rank + int(nz[0])
-            if piv != rank:
-                a[[rank, piv]] = a[[piv, rank]]
-            a[rank] = a[rank] * pow(int(a[rank, col]), p - 2, p) % p
-            other = np.nonzero(a[:, col])[0]
-            other = other[other != rank]
-            if other.size:
-                a[other] = (a[other] - np.outer(a[other, col], a[rank])) % p
-            pivots.append(col)
-            rank += 1
-        return pivots
-    add, mul, neg, inv = _tables(field)
-    rank = 0
     for col in range(cols):
+        rank = len(pivots)
         if rank == rows:
             break
         nz = np.nonzero(a[rank:, col])[0]
@@ -592,14 +601,12 @@ def _rref_codes(a, field):
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = mul[inv[a[rank, col]], a[rank]]
+        a[rank] = codes.mul(codes.inv(a[rank, col]), a[rank])
         other = np.nonzero(a[:, col])[0]
         other = other[other != rank]
         if other.size:
-            scale = neg[a[other, col]]
-            a[other] = add[a[other], mul[scale[:, None], a[rank][None, :]]]
+            a[other] = codes.submul(a[other], a[other, col], a[rank])
         pivots.append(col)
-        rank += 1
     return pivots
 
 
@@ -617,7 +624,7 @@ def nullspace_codes(a, field):
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     block = a[:len(pivots), free].T
-    basis[:, pivots] = -block % field.p if field.r == 1 else _tables(field)[2][block]
+    basis[:, pivots] = code_arithmetic(field).neg(block)
     return basis
 
 

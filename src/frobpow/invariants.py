@@ -15,6 +15,10 @@ element objects per monomial:
 * the (g - 1) blocks of all transvections are stacked per degree and
   eliminated; any other kind of generator is rejected.
 
+The A/B decomposition runs on integer codes too: every coefficient of its
+spanning vectors lies in the prime subfield, so a residue mod p is its own
+code, and each degree's A and B rows are stacked into one code matrix.
+
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
 enumerated; MATRIX_BYTE_CAP bounds the memory that eliminating the largest
 per-degree matrix takes, and is checked before any matrix is built.
@@ -24,11 +28,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, MatrixFq, _tables, binom_mod_p, factor_prime_power, \
+from .ff import CapExceeded, MatrixFq, binom_mod_p, code_arithmetic, factor_prime_power, \
     make_field, nullspace_codes, rank_codes, root_of_unity
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
@@ -231,10 +236,9 @@ def _discrete_logs(field):
 def _code_powers(c, field, count):
     """Codes of c^0, ..., c^(count - 1) for the element with code c."""
     powers = np.ones(count, dtype=np.int64)
-    mul = _tables(field)[1] if field.r > 1 else None
+    mul = code_arithmetic(field).mul
     for j in range(1, count):
-        prev = int(powers[j - 1])
-        powers[j] = prev * c % field.p if mul is None else mul[prev, c]
+        powers[j] = mul(int(powers[j - 1]), c)
     return powers
 
 
@@ -307,11 +311,7 @@ def _transvection_terms(bucket_codes, cols, move, field, Q):
     counts = np.minimum(ak, Q - 1 - cols[:, l])
     col = np.repeat(np.arange(len(cols)), counts)
     j = np.arange(len(col)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    coeff = _binomials(ak[col], j, field.p)
-    if field.r == 1:
-        code = coeff * powers[j] % field.p
-    else:
-        code = _tables(field)[1][coeff, powers[j]]
+    code = code_arithmetic(field).mul(_binomials(ak[col], j, field.p), powers[j])
     nz = code != 0
     col, j = col[nz], j[nz]
     n = cols.shape[1]
@@ -414,14 +414,14 @@ def _binomial_power_terms(b, w, Q, p):
     return out
 
 
-def _wexp_vectors(weights, bound):
-    """All exponent tuples with weighted degree <= bound."""
+def _wexp_vectors(weights, bound, caps):
+    """Exponent tuples b with b_i < caps_i and weighted degree <= bound, in lex order."""
     if not weights:
         yield ()
         return
     w = weights[0]
-    for head in range(bound // w + 1):
-        for tail in _wexp_vectors(weights[1:], bound - w * head):
+    for head in range(min(bound // w + 1, caps[0])):
+        for tail in _wexp_vectors(weights[1:], bound - w * head, caps[1:]):
             yield (head,) + tail
 
 
@@ -434,52 +434,29 @@ def _vector_setup(spec, m, cap):
 
 
 def _a_vectors(spec, m, cap):
-    """Reduced expansions of f-monomials, grouped by degree.
+    """Reduced expansions of f-monomials, grouped by degree, as {exponents: code}.
 
     The first ell basic invariants are the binomials x_i^q - x_i x_n^(q-1),
-    the next ones the bare variables, the last a power of x_n.
+    the next ones the bare variables, the last a power of x_n.  An expansion
+    term picks one term of each binomial power; the exponent of x_i grows
+    with the pick, so distinct picks are distinct monomials and none cancel.
     """
     Q, weights, D, by_degree = _vector_setup(spec, m, cap)
-    field, n, ell, q = spec.field, spec.n, spec.ell, spec.q
-    for bvec in _wexp_vectors(weights, D):
-        d = sum(wi * bi for wi, bi in zip(weights, bvec))
-        terms = [((), field.one())]  # ((x-exponent per binomial var...), coeff)
-        alive = True
-        for i in range(ell):
-            if not bvec[i]:
-                terms = [(exps + (0, 0), c) for exps, c in terms]
-                continue
-            piece = [(evar, en, field.elem(cc))
-                     for evar, en, cc in _binomial_power_terms(bvec[i], q, Q, spec.p)]
-            if not piece:
-                alive = False
-                break
-            terms = [(exps + (evar, en), c * cc)
-                     for exps, c in terms for evar, en, cc in piece]
-        if not alive:
-            continue
+    n, ell, p = spec.n, spec.ell, spec.p
+    # every term is divisible by x_i^(b_i), i < n - 1, and by x_n^(b_n e)
+    caps = (Q,) * (n - 1) + ((Q - 1) // weights[n - 1] + 1,)
+    for bvec in _wexp_vectors(weights, D, caps):
+        bare = bvec[ell:n - 1]
+        pieces = [_binomial_power_terms(b, spec.q, Q, p) for b in bvec[:ell]]
+        xn = bvec[n - 1] * weights[n - 1]
         vec = {}
-        for exps, c in terms:
-            full = [0] * n
-            xn = 0
-            for i in range(ell):
-                full[i] = exps[2 * i]
-                xn += exps[2 * i + 1]
-            for i in range(ell, n - 1):
-                full[i] = bvec[i]
-            xn += bvec[n - 1] * weights[n - 1]
-            if xn >= Q or any(x >= Q for x in full[:n - 1]):
-                continue
-            full[n - 1] = xn
-            key = tuple(full)
-            prev = vec.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                vec[key] = s
-            else:
-                vec.pop(key, None)
+        for pick in itertools.product(*pieces):
+            top = xn + sum(en for _, en, _ in pick)
+            if top < Q:
+                mono = tuple(evar for evar, _, _ in pick) + bare + (top,)
+                vec[mono] = math.prod(c for _, _, c in pick) % p
         if vec:
-            by_degree[d].append(vec)
+            by_degree[sum(w * b for w, b in zip(weights, bvec))].append(vec)
     return by_degree
 
 
@@ -490,48 +467,59 @@ def _b_vectors(spec, m, cap):
     power term x_i^(deg f_i): any x_n contribution pushes past x_n^(Q-1).
     """
     Q, weights, D, by_degree = _vector_setup(spec, m, cap)
-    field, n, ell = spec.field, spec.n, spec.ell
+    n, ell = spec.n, spec.ell
     heads = [a for a in itertools.product(range(spec.q), repeat=ell) if sum(a) >= 2]
     fweights = weights[: n - 1]
     for avec in heads:
         base_deg = sum(avec) + Q - 1
         pad = avec + (0,) * (n - 1 - ell)
-        for bvec in _wexp_vectors(fweights, D - base_deg):
+        caps = [(Q - 1 - ai) // wi + 1 for wi, ai in zip(fweights, pad)]  # w b + a < Q
+        for bvec in _wexp_vectors(fweights, D - base_deg, caps):
             full = tuple(wi * bi + ai for wi, bi, ai in zip(fweights, bvec, pad))
-            if all(x < Q for x in full):
-                by_degree[sum(full) + Q - 1].append({full + (Q - 1,): field.one()})
+            by_degree[sum(full) + Q - 1].append({full + (Q - 1,): 1})
     return by_degree
 
 
-def _rank_by_degree(by_degree, field, n, Q):
-    buckets = _degree_buckets(n, Q)
-    _check_matrix_cap([(len(vecs), len(b)) for vecs, b in zip(by_degree, buckets)])
-    dims = []
-    for vecs, bucket in zip(by_degree, buckets):
-        if not vecs:
-            dims.append(0)
-            continue
-        index = {mono: i for i, mono in enumerate(map(tuple, bucket.tolist()))}
-        rows = np.zeros((len(vecs), len(index)), dtype=np.int64)
-        for vi, vec in enumerate(vecs):
-            for mono, c in vec.items():
-                rows[vi, index[mono]] = field.encode(c)
-        dims.append(rank_codes(rows, field))
-    return dims
+def _ab_matrix(vecs, bucket, Q):
+    """One degree's vectors as the rows of a code matrix; columns follow the bucket."""
+    out = np.zeros((len(vecs), len(bucket)), dtype=np.int64)
+    if vecs:
+        rows = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
+        monos = np.array([mono for vec in vecs for mono in vec], dtype=np.int64)
+        out[rows, np.searchsorted(_codes(bucket, Q), _codes(monos, Q))] = \
+            [c for vec in vecs for c in vec.values()]
+    return out
+
+
+def _ab_ranks(spec, m, cap):
+    """Per-degree (rank A, rank B, rank of A stacked on B).
+
+    The cap is checked on every A, then B, then stacked shape before any
+    matrix is built; then one degree's stack at a time is built and ranked
+    whole and as its A and B row blocks.
+    """
+    Q = spec.q ** m
+    a_vecs, b_vecs = _a_vectors(spec, m, cap), _b_vectors(spec, m, cap)
+    buckets = _degree_buckets(spec.n, Q)
+    for counts in ([len(av) for av in a_vecs], [len(bv) for bv in b_vecs],
+                   [len(av) + len(bv) for av, bv in zip(a_vecs, b_vecs)]):
+        _check_matrix_cap([(c, len(bucket)) for c, bucket in zip(counts, buckets)])
+    ranks = []
+    for av, bv, bucket in zip(a_vecs, b_vecs, buckets):
+        stack = _ab_matrix(av + bv, bucket, Q)
+        ranks.append(tuple(rank_codes(block, spec.field) if len(block) else 0
+                           for block in (stack[:len(av)], stack[len(av):], stack)))
+    return ranks
 
 
 def a_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree dimension of the image of the invariant ring in S/m^[q^m]."""
-    Q = spec.q ** m
-    vecs = _a_vectors(spec, m, max_monomials)
-    return HilbertFunction(tuple(_rank_by_degree(vecs, spec.field, spec.n, Q)))
+    return HilbertFunction(tuple(a for a, _, _ in _ab_ranks(spec, m, max_monomials)))
 
 
 def b_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree dimension of the complement module spanned over f_1..f_{n-1}."""
-    Q = spec.q ** m
-    vecs = _b_vectors(spec, m, max_monomials)
-    return HilbertFunction(tuple(_rank_by_degree(vecs, spec.field, spec.n, Q)))
+    return HilbertFunction(tuple(b for _, b, _ in _ab_ranks(spec, m, max_monomials)))
 
 
 @dataclass(frozen=True)
@@ -554,19 +542,12 @@ class DecompositionReport:
 
 def verify_decomposition(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Check per degree that A + B = fixed space, with a stacked-rank witness."""
-    Q = spec.q ** m
-    field, n = spec.field, spec.n
-    a_vecs = _a_vectors(spec, m, max_monomials)
-    b_vecs = _b_vectors(spec, m, max_monomials)
-    a_dims = _rank_by_degree(a_vecs, field, n, Q)
-    b_dims = _rank_by_degree(b_vecs, field, n, Q)
-    union = [av + bv for av, bv in zip(a_vecs, b_vecs)]
-    union_dims = _rank_by_degree(union, field, n, Q)
+    ranks = _ab_ranks(spec, m, max_monomials)
     brute = brute_force_hilbert(spec, m, max_monomials)
     rows = []
     mismatches = []
-    for d in range(len(a_dims)):
-        a, b, u, br = a_dims[d], b_dims[d], union_dims[d], brute[d]
+    for d, (a, b, u) in enumerate(ranks):
+        br = brute[d]
         rows.append((d, a, b, a + b, br))
         if a + b != br:
             mismatches.append(f"degree {d}: A + B = {a + b} but fixed space has {br}")

@@ -572,6 +572,10 @@ class TestSweep:
          "grid axis 'full_stabilizer' holds 1"),
         ({"grid": {"p": [3], "n": [2], "m": [1, 0]}}, "grid axis 'm' holds 0"),
         ({"caps": [5]}, "manifest 'caps' must be an object"),
+        ({"caps": {"max_monomials": 0}},
+         "cap max_monomials must be an integer of at least 1, not 0"),
+        ({"caps": {"max_points": -3}},
+         "cap max_points must be an integer of at least 1, not -3"),
         ({"output_dir": 7}, "manifest 'output_dir' must be a string"),
     ])
     def test_mistyped_manifest_exits_2(self, tmp_path, capsys, overrides, message):
@@ -595,6 +599,20 @@ class TestSweep:
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--p", "3", "--n", "2", "--m", "1", "--max-monomials", "-5"],
+        ["hilbert", "--p", "3", "--n", "2", "--m", "1", "--max-monomials", "0"],
+        ["decompose", "--p", "3", "--n", "2", "--m", "1", "--max-monomials", "0"],
+        ["conjecture", "--q", "2", "--n", "2", "--m", "1", "--max-monomials", "-1"],
+        ["orbits", "--p", "3", "--n", "2", "--m", "1", "--max-points", "0"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_caps_below_one_exit_2(self, argv, capsys):
+        # a cap below 1 used to be reported as a cap hit (exit 3)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"a cap is at least 1, not {argv[-1]}" in capsys.readouterr().err
+
     def test_bad_format_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--p", "2", "--n", "2", "--m", "1",

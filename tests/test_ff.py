@@ -363,6 +363,22 @@ def test_matrix_inverse():
         MatrixFq.from_rows(F5, [[1, 2, 3], [4, 5, 6]]).inverse()
 
 
+
+def test_int64_headroom():
+    # residue products (p - 1)^2 must fit in an int64: p = 3037000493 is the
+    # largest prime that passes; larger ones used to overflow silently
+    p = 3037000493
+    F = make_field(p)
+    m = MatrixFq.from_rows(F, [[3, p - 2], [p - 5, 7]])
+    assert m * m.inverse() == MatrixFq.identity(F, 2)
+    for p in (3037000507, 4294967311):
+        F = make_field(p)
+        m = MatrixFq.from_rows(F, [[3, p - 2], [p - 5, 7]])
+        with pytest.raises(ValueError, match="too large for int64"):
+            m.inverse()
+        with pytest.raises(ValueError, match="too large for int64"):
+            rank_codes([[1, 2]], F)
+
 def test_matrix_det():
     assert MatrixFq.from_rows(F5, [[1, 2], [3, 4]]).det() == F5.elem(3)  # 4 - 6
     assert MatrixFq.from_rows(F5, [[1, 2], [2, 4]]).det() == F5.zero()

@@ -15,9 +15,10 @@ from frobpow.group import (
     GroupElement, GroupSpec, act, build_group, full_gl_generators, group_elements)
 from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
-    check_exponent_bound, full_gl_fixed_basis, h_generators,
-    verify_decomposition, _binomials, _codes, _degree_buckets,
-    _fixed_by_diagonals, _split_generators, _transvection_terms)
+    check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
+    verify_decomposition, _a_vectors, _b_vectors, _binomials, _codes,
+    _degree_buckets, _fixed_by_diagonals, _split_generators, _transvection_terms,
+    _wexp_vectors)
 from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
@@ -256,11 +257,57 @@ class TestDecomposition:
         assert len(js["rows"]) == 3
         assert js["ok"] is True and js["m"] == 1
 
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=5, n=3, ell=2, e=4), 1),
+        (GroupSpec(p=5, n=3, ell=2, e=2), 1),
+        (GroupSpec(p=5, n=2, ell=1, e=4), 2),
+        (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 1),
+        (GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 2),
+        (GroupSpec(p=2, r=3, n=2, full_stabilizer=True), 2),
+        (GroupSpec(p=3, r=2, n=2, full_stabilizer=True), 1),
+    ], ids=str)
+    def test_a_vectors_match_polynomial_expansion(self, spec, m):
+        # reference: expand each f-monomial with the polynomial layer, reduce
+        # it mod the Frobenius power and encode its coefficients
+        Q = spec.q ** m
+        basics = basic_invariants(spec)
+        fring = basics.f_ring()
+        D = spec.n * (Q - 1)
+        expected = [[] for _ in range(D + 1)]
+        for bvec in _wexp_vectors(basics.weights, D, (D + 1,) * spec.n):
+            poly = reduce_mod_frobenius(expand_f(fring.monomial(bvec), basics), Q)
+            if poly.terms:
+                degree = sum(w * b for w, b in zip(basics.weights, bvec))
+                expected[degree].append(
+                    {mono: spec.field.encode(c) for mono, c in poly.terms.items()})
+        got = _a_vectors(spec, m, 10 ** 6)
+        assert got == expected
+        assert all(type(c) is int for vecs in got for vec in vecs for c in vec.values())
+
+    def test_stack_cap_fires_before_any_elimination(self, monkeypatch):
+        def no_elimination(*args):
+            raise AssertionError("eliminated before every shape was checked")
+
+        # the degree-10 stack (3 + 1 rows, 28 cells) outgrows every A or B
+        # block (at most 27 cells)
+        spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
+        buckets = _degree_buckets(spec.n, 9)
+        a_vecs, b_vecs = _a_vectors(spec, m, 10 ** 6), _b_vectors(spec, m, 10 ** 6)
+        largest_block = max(len(v) * len(b) for vecs in (a_vecs, b_vecs)
+                            for v, b in zip(vecs, buckets))
+        rows, cols = max(((len(av) + len(bv), len(b))
+                          for av, bv, b in zip(a_vecs, b_vecs, buckets)),
+                         key=lambda s: s[0] * s[1])
+        assert largest_block < rows * cols
+        monkeypatch.setattr(invariants, "rank_codes", no_elimination)
+        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP", largest_block * 40)
+        with pytest.raises(CapExceeded, match=f"a {rows} x {cols} matrix needs"):
+            verify_decomposition(spec, m)
+
     def test_b_membership_in_fixed_space(self):
         # every spanning element of the complement module is itself invariant
         spec = GroupSpec(p=3, n=2, ell=1, e=2)
         m, Q = 2, 9
-        from frobpow.invariants import _b_vectors
         ring = PolyRing(spec.field, spec.n)
         gens = build_group(spec)
         seen = 0
