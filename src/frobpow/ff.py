@@ -8,9 +8,20 @@ of the required order in the fixed element enumeration.
 
 Elements are immutable values stored fully reduced; equality is coefficient
 equality.  Matrices are dense.  Heavy loops run on integer codes (see
-:meth:`Field.encode`) in int64 arrays through :func:`code_arithmetic`, the one
-place that picks residues mod p (r = 1) or lookup tables (r > 1).  Residue
-products must fit in an int64, so prime fields need p <= 3037000500.
+:meth:`Field.encode`) in numpy arrays through :func:`code_arithmetic`, the one
+place that picks residues mod p (r = 1) or lookup tables (r > 1), and the
+code dtype: int32 while (p - 1)^2 + p fits in it (primes up to 46337), else
+int64.  Residue products must fit in an int64, so prime fields need
+p <= 3037000500.
+
+Elimination is one round-based kernel (:func:`_echelon`), the simultaneous
+reduction by leading columns of F4 linear algebra: each round, every live
+row finds its leading column, the first row leading a column without a
+pivot becomes that column's pivot, and all other live rows are reduced by
+their columns' pivots in one vectorized step.  A matrix takes as many rounds
+as its longest chain of pivot dependencies, far fewer than its pivots.
+:func:`rank_codes` stops at the echelon form; :func:`nullspace_codes` and
+:meth:`MatrixFq.inverse` back-reduce it to the RREF, again in rounds.
 """
 
 from __future__ import annotations
@@ -59,6 +70,7 @@ def factor_prime_power(q):
     return p, r
 
 
+@functools.lru_cache(maxsize=None)
 def _prime_divisors(n):
     out = []
     d = 2
@@ -210,9 +222,16 @@ class Field:
         return (self.decode(c) for c in range(self.order))
 
     def elements_lex(self):
-        """All elements in coefficient-lex order (c_0 most significant)."""
-        for coeffs in itertools.product(range(self.p), repeat=self.r):
-            yield FieldElem(self, coeffs)
+        """All elements in coefficient-lex order (c_0 most significant), counted lazily.
+
+        itertools.product would first build the whole range(p) as a tuple.
+        """
+        for k in range(self.order):
+            coeffs = []
+            for _ in range(self.r):
+                k, c = divmod(k, self.p)
+                coeffs.append(c)
+            yield FieldElem(self, tuple(reversed(coeffs)))
 
     def __str__(self):
         mod = ",".join(str(c) for c in self.modulus)
@@ -333,14 +352,14 @@ class FieldElem:
         return result
 
     def order(self):
-        """Multiplicative order, by exhaustive powering."""
+        """Multiplicative order: q - 1 divided by each prime while the power stays one."""
         if not self:
             raise ValueError("zero has no multiplicative order")
         one = self.field.one()
-        x, k = self, 1
-        while x != one:
-            x = x * self
-            k += 1
+        k = self.field.order - 1
+        for prime in _prime_divisors(k):
+            while k % prime == 0 and self ** (k // prime) == one:
+                k //= prime
         return k
 
     def __bool__(self):
@@ -509,10 +528,10 @@ class MatrixFq:
         aug = np.zeros((n, 2 * n), dtype=np.int64)
         aug[:, :n] = _codes_matrix(self)
         aug[np.arange(n), n + np.arange(n)] = 1  # the code of one in every field
-        pivots = _rref_codes(aug, self.field)
+        rref, pivots = _rref_codes(aug, self.field)
         if pivots != list(range(n)):
             raise ValueError("matrix not invertible")
-        inv = aug[:, n:]
+        inv = rref[:, n:]
         entries = tuple(self.field.decode(int(c)) for c in inv.ravel())
         return MatrixFq(self.field, n, n, entries)
 
@@ -556,10 +575,14 @@ def _tables(field):
     return add, mul, neg, inv
 
 
-# Elementwise code arithmetic of one field, on ints and int64 arrays alike.
-# reduce(a) canonicalizes an array in place; submul(rows, factors, pivot) is
-# rows - factors (x) pivot, one elimination step on a block of rows.
-CodeArithmetic = collections.namedtuple("CodeArithmetic", "reduce mul neg inv submul")
+# Elementwise code arithmetic of one field, on ints and code arrays alike.
+# reduce(a) canonicalizes an array in place and returns it; inv(a) inverts
+# an array of nonzero codes; submul(rows, factors, pivots, index) is one
+# elimination step in place, rows[i] -= factors[i] * pivots[index[i]], with
+# pivots[index] gathered as its one temporary (over GF(p^r), a table lookup
+# result too).  dtype is the narrowest integer type in which that step
+# cannot overflow.
+CodeArithmetic = collections.namedtuple("CodeArithmetic", "reduce mul neg inv submul dtype")
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,46 +591,117 @@ def code_arithmetic(field):
 
     ValueError when a product of two residues would overflow an int64.
     """
+    # a row update holds values up to (p - 1)^2 + p - 1
+    dtype = np.int32 if (field.p - 1) ** 2 + field.p <= np.iinfo(np.int32).max else np.int64
     if field.r > 1:
-        add, mul, neg, inv = _tables(field)
+        add, mul, neg, inv = (t.astype(dtype) for t in _tables(field))
+
+        def table_submul(rows, factors, pivots, index):
+            rows[...] = add[rows, mul[neg[factors][:, None], pivots[index]]]
+
         return CodeArithmetic(
-            reduce=lambda a: None,  # table codes are canonical by construction
+            reduce=lambda a: a,  # table codes are canonical by construction
             mul=lambda a, b: mul[a, b], neg=lambda a: neg[a], inv=lambda a: inv[a],
-            submul=lambda rows, factors, pivot: add[rows, mul[neg[factors][:, None], pivot]])
+            submul=table_submul, dtype=dtype)
     p = field.p
     if p > _MAX_CODE_PRIME:
         raise ValueError(f"GF({p}) is too large for int64 code arithmetic: "
                          f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
+
+    def residue_submul(rows, factors, pivots, index):
+        block = pivots[index]
+        block *= (-factors % p)[:, None]
+        block += rows  # at most (p - 1)^2 + p - 1, never negative
+        np.fmod(block, p, out=rows)  # equals np.remainder here, and is faster
+
+    def residue_reduce(a):
+        if a.size and (a.min() < 0 or a.max() >= p):
+            np.remainder(a, p, out=a)
+        return a
+
     return CodeArithmetic(
-        reduce=lambda a: np.remainder(a, p, out=a),
+        reduce=residue_reduce,
         mul=lambda a, b: a * b % p, neg=lambda a: -a % p,
-        inv=lambda a: pow(int(a), p - 2, p),
-        submul=lambda rows, factors, pivot: (rows - np.outer(factors, pivot)) % p)
+        inv=lambda a: np.array([pow(int(x), -1, p) for x in a], dtype=dtype),
+        submul=residue_submul, dtype=dtype)
+
+
+def _echelon(a, field):
+    """Echelon form of an integer-code matrix, by rounds: (pivot rows, their columns).
+
+    The working set is a copy of a's nonzero rows in the code dtype; a is left
+    as it is.  In each round every live row finds its leading column, the
+    first row leading a column without a pivot becomes that column's
+    normalized pivot, and every other live row is reduced by the pivot of its
+    leading column in one submul, which moves its leading column right.  Rows
+    that reach zero are dropped.  Pivot rows are returned in the order found,
+    each with a unit leading entry.
+    """
+    codes = code_arithmetic(field)
+    a = np.asarray(a)
+    work = codes.reduce(a[a.any(axis=1)]).astype(codes.dtype, copy=False)
+    owner = np.full(work.shape[1], -1, dtype=np.intp)  # pivot row of each column
+    index = np.arange(len(work))
+    pcols = []
+    top, end, start = 0, len(work), 0  # work[:top] pivots, work[top:end] live
+    while top < end and start < work.shape[1]:
+        # live rows are zero left of start; so is every pivot they meet
+        live = work[top:end, start:]
+        nonzero = live != 0
+        lead = nonzero.argmax(axis=1)
+        rows = nonzero[index[:len(lead)], lead].nonzero()[0]
+        del nonzero
+        rows = rows[lead[rows].argsort(kind="stable")]
+        lead = lead[rows] + start
+        # the first row leading each column that has no pivot yet is its pivot
+        fresh = np.empty(len(rows), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(lead[1:], lead[:-1], out=fresh[1:])
+        fresh &= owner[lead] < 0
+        pick = (~fresh).argsort(kind="stable")
+        rows, lead, k = rows[pick], lead[pick], int(np.count_nonzero(fresh))
+        end = top + len(rows)
+        work[top:end, start:] = live[rows]
+        new = work[top:top + k, start:]
+        new[...] = codes.mul(codes.inv(new[index[:k], lead[:k] - start])[:, None], new)
+        owner[lead[:k]] = index[top:top + k]
+        pcols.extend(lead[:k].tolist())
+        top, lead = top + k, lead[k:]
+        if top == end:
+            break
+        # every other row is reduced by the pivot of its leading column
+        start = int(lead[0])
+        live = work[top:end, start:]
+        codes.submul(live, live[index[:len(lead)], lead - start], work[:, start:],
+                     owner[lead])
+        start += 1
+    return work[:top], pcols
 
 
 def _rref_codes(a, field):
-    """In-place reduced row echelon form on an integer-code matrix; pivot columns."""
+    """Reduced row echelon form of an integer-code matrix: (rows, pivot columns).
+
+    The echelon rows of :func:`_echelon`, sorted by pivot column, then
+    back-reduced in rounds: each row with a nonzero entry in another pivot
+    column is reduced by the pivot of the leftmost such column, which only
+    touches columns further right.
+    """
     codes = code_arithmetic(field)
-    codes.reduce(a)
-    rows, cols = a.shape
-    pivots = []
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == rows:
+    rows, pcols = _echelon(a, field)
+    order = np.argsort(pcols)
+    rows, pcols = rows[order], [pcols[i] for i in order]
+    diag = np.arange(len(pcols))
+    while len(pcols):
+        dirty = (rows != 0)[:, pcols]
+        dirty[diag, diag] = False
+        col = dirty.argmax(axis=1)
+        hit = dirty[diag, col]
+        del dirty
+        if not hit.any():
             break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        a[rank] = codes.mul(codes.inv(a[rank, col]), a[rank])
-        other = np.nonzero(a[:, col])[0]
-        other = other[other != rank]
-        if other.size:
-            a[other] = codes.submul(a[other], a[other, col], a[rank])
-        pivots.append(col)
-    return pivots
+        # a clean row takes factor 0, which leaves it as it is
+        codes.submul(rows, np.where(hit, rows[diag, np.take(pcols, col)], 0), rows, col)
+    return rows, pcols
 
 
 def nullspace_codes(a, field):
@@ -615,24 +709,25 @@ def nullspace_codes(a, field):
 
     Returns a (k, cols) array; one row per free column, ascending.
     """
-    a = np.array(a, dtype=np.int64, copy=True)
+    a = np.asarray(a)
     rows, cols = a.shape if a.ndim == 2 else (0, 0)
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    pivots = _rref_codes(a, field)
+    rref, pivots = _rref_codes(a, field)
     free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    codes = code_arithmetic(field)
+    basis = np.zeros((len(free), cols), dtype=codes.dtype)
     basis[np.arange(len(free)), free] = 1
-    block = a[:len(pivots), free].T
-    basis[:, pivots] = code_arithmetic(field).neg(block)
+    basis[:, pivots] = codes.neg(rref[:, free].T)
     return basis
 
 
 def rank_codes(a, field):
-    a = np.array(a, dtype=np.int64, copy=True)
+    """Rank of an integer-code matrix: its echelon form, without back-reduction."""
+    a = np.asarray(a)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    return len(_rref_codes(a, field))
+    return len(_echelon(a, field)[1])
 
 
 def nullspace(m):

@@ -39,11 +39,13 @@ from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
 DEFAULT_MONOMIAL_CAP = 10 ** 6
-# Memory budget for eliminating one matrix.  Elimination holds the int64
-# matrix, its working copy and up to three same-shape temporaries in a row
-# update, so a cell costs it 40 bytes at the peak.
+# Memory budget for eliminating one matrix.  At its peak elimination holds
+# three code arrays of the matrix's size: the matrix, the working set of its
+# nonzero rows, and one gathered row block (a table lookup result instead,
+# over GF(p^r)).  With int64 codes that is 24 bytes a cell; a byte of mask
+# and the per-row and per-column index arrays stay within 26.
 MATRIX_BYTE_CAP = 512 * 2 ** 20
-_ELIM_BYTES_PER_CELL = 40
+_ELIM_BYTES_PER_CELL = 26
 
 
 @dataclass(frozen=True)
@@ -338,6 +340,7 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
     _check_matrix_cap([(len(moves) * len(b), len(c)) for b, c in zip(buckets, columns)])
     dims = []
     basis = []
+    dtype = code_arithmetic(field).dtype
     for bucket, cols in zip(buckets, columns):
         monos = [tuple(a) for a in cols.tolist()] if want_basis else None
         if not moves or not len(cols):
@@ -347,7 +350,7 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
             continue
         nrows = len(bucket)
         bucket_codes = _codes(bucket, Q)
-        stacked = np.zeros((nrows * len(moves), len(cols)), dtype=np.int64)
+        stacked = np.zeros((nrows * len(moves), len(cols)), dtype=dtype)
         for gi, move in enumerate(moves):
             rows, cidx, codes = _transvection_terms(bucket_codes, cols, move, field, Q)
             stacked[gi * nrows + rows, cidx] = codes
@@ -480,9 +483,9 @@ def _b_vectors(spec, m, cap):
     return by_degree
 
 
-def _ab_matrix(vecs, bucket, Q):
+def _ab_matrix(vecs, bucket, Q, field):
     """One degree's vectors as the rows of a code matrix; columns follow the bucket."""
-    out = np.zeros((len(vecs), len(bucket)), dtype=np.int64)
+    out = np.zeros((len(vecs), len(bucket)), dtype=code_arithmetic(field).dtype)
     if vecs:
         rows = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
         monos = np.array([mono for vec in vecs for mono in vec], dtype=np.int64)
@@ -506,7 +509,7 @@ def _ab_ranks(spec, m, cap):
         _check_matrix_cap([(c, len(bucket)) for c, bucket in zip(counts, buckets)])
     ranks = []
     for av, bv, bucket in zip(a_vecs, b_vecs, buckets):
-        stack = _ab_matrix(av + bv, bucket, Q)
+        stack = _ab_matrix(av + bv, bucket, Q, spec.field)
         ranks.append(tuple(rank_codes(block, spec.field) if len(block) else 0
                            for block in (stack[:len(av)], stack[len(av):], stack)))
     return ranks

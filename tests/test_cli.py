@@ -238,6 +238,15 @@ class TestGbcheck:
         assert code == 2
         assert "ell = n - 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["3037000507", "4294967311"])
+    def test_huge_prime_exits_2(self, capsys, p):
+        # the root-of-unity search counts field elements lazily, so the int64
+        # check of the code arithmetic is reached instead of a MemoryError
+        code = main(["gbcheck", "--p", p, "--n", "2", "--m", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large for int64" in err
+
 
 class TestDecompose:
     def test_archetype(self, capsys):

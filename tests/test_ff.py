@@ -9,7 +9,9 @@ kernel counting over tiny extension fields.
 import itertools
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF
@@ -20,8 +22,11 @@ from frobpow.ff import (
     Field,
     FieldElem,
     MatrixFq,
+    _echelon,
+    _rref_codes,
     _tables,
     binom_mod_p,
+    code_arithmetic,
     embed,
     make_field,
     nullspace,
@@ -29,6 +34,7 @@ from frobpow.ff import (
     rank_codes,
     root_of_unity,
 )
+from frobpow.invariants import _ELIM_BYTES_PER_CELL
 
 F2, F3, F5, F7 = make_field(2), make_field(3), make_field(5), make_field(7)
 F4, F8, F9, F25, F27, F49, F81 = (
@@ -204,6 +210,15 @@ def test_orders_in_f5_by_integer_powering():
     assert F5.elem(2).order() == 4  # 2,4,3,1
 
 
+def test_orders_match_exhaustive_powering():
+    for f in ALL_FIELDS:
+        for x in list(f.elements())[1:]:
+            y, k = x, 1
+            while y != f.one():
+                y, k = y * x, k + 1
+            assert x.order() == k
+
+
 def test_root_of_unity_examples():
     assert root_of_unity(F5, 1) == F5.one()
     assert root_of_unity(F5, 4) == F5.elem(2)
@@ -228,6 +243,18 @@ def test_root_of_unity_lex_first():
             if x and x.order() == e:
                 assert root_of_unity(f, e) == x
                 break
+
+
+def test_huge_prime_orders_and_roots():
+    # orders come from the prime divisors of q - 1 and the lex scan is lazy,
+    # so neither enumerates the p residues
+    from sympy.ntheory import n_order
+    for p in (3037000507, 4294967311):
+        F = make_field(p)
+        assert next(F.elements_lex()) == F.zero()
+        for base in (2, 3, p - 1):
+            assert F.elem(base).order() == n_order(base, p)
+        assert root_of_unity(F, p - 1).order() == p - 1
 
 
 def test_root_of_unity_error():
@@ -295,20 +322,156 @@ def test_nullspace_annihilates_and_counts(fe, nr, nc, seed):
 @given(field_and_elems(count=0), st.integers(1, 6), st.integers(1, 7), st.integers(0, 10 ** 9))
 def test_nullspace_matches_loop_reference(fe, nr, nc, seed):
     # the canonical parameterization, filled one entry at a time
-    import numpy as np
-    from frobpow.ff import _rref_codes
     f, _ = fe
     rng = random.Random(seed)
     rows = [[rng.choice([0, rng.randrange(f.order)]) for _ in range(nc)] for _ in range(nr)]
-    a = np.array(rows, dtype=np.int64)
-    pivots = _rref_codes(a, f)
+    rref, pivots = _rref_codes(np.array(rows), f)
     free = [c for c in range(nc) if c not in pivots]
     expected = np.zeros((len(free), nc), dtype=np.int64)
     for k, fc in enumerate(free):
         expected[k, fc] = 1
         for i, pc in enumerate(pivots):
-            expected[k, pc] = f.encode(-f.decode(int(a[i, fc])))
+            expected[k, pc] = f.encode(-f.decode(int(rref[i, fc])))
     assert np.array_equal(nullspace_codes(rows, f), expected)
+
+
+# -- the round-based elimination kernel against the per-pivot loop ----------
+
+def _per_pivot_rref(a, field):
+    """Reference RREF, one pivot at a time: search, swap, normalize, eliminate.
+
+    Plain residues mod p or the lookup tables, on an int64 copy; returns the
+    nonzero RREF rows and the pivot columns.
+    """
+    a = np.array(a, dtype=np.int64)
+    if field.r > 1:
+        add, mul, neg, inv = _tables(field)
+
+        def normalize(row, c):
+            return mul[inv[c], row]
+
+        def submul(rows, factors, pivot):
+            return add[rows, mul[neg[factors][:, None], pivot]]
+    else:
+        p = field.p
+        a %= p
+
+        def normalize(row, c):
+            return pow(int(c), p - 2, p) * row % p
+
+        def submul(rows, factors, pivot):
+            return (rows - np.outer(factors, pivot)) % p
+
+    nrows, ncols = a.shape
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        a[rank] = normalize(a[rank], a[rank, col])
+        other = np.nonzero(a[:, col])[0]
+        other = other[other != rank]
+        if other.size:
+            a[other] = submul(a[other], a[other, col], a[rank])
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+KERNEL_FIELDS = [F2, F5, make_field(46337), make_field(46349), make_field(3037000493),
+                 F4, F8, F9]
+
+
+def _kernel_cases(field, rng):
+    """Random code matrices: densities 0.01-1, zero rows and columns, repeated rows."""
+    for density in (0.01, 0.05, 0.2, 0.5, 1.0):
+        for nr, nc in ((1, 1), (3, 9), (9, 3), (12, 12), (40, 15), (15, 40)):
+            a = rng.integers(1, field.order, (nr, nc)) * (rng.random((nr, nc)) < density)
+            yield a
+            if nr > 2 and nc > 2:
+                b = a.copy()
+                b[0], b[:, 1] = 0, 0
+                b[-1] = b[1]
+                yield b
+                yield np.repeat(a, 3, axis=0)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_matches_per_pivot_loop(field):
+    rng = np.random.default_rng(field.order % 1000)
+    dtype = code_arithmetic(field).dtype
+    for a in _kernel_cases(field, rng):
+        expected_rows, expected_pivots = _per_pivot_rref(a, field)
+        a = a.astype(dtype)
+        before = a.copy()
+        rows, pivots = _rref_codes(a, field)
+        assert pivots == expected_pivots
+        assert np.array_equal(rows, expected_rows)
+        assert rank_codes(a, field) == len(expected_pivots)
+        assert sorted(_echelon(a, field)[1]) == expected_pivots
+        assert np.array_equal(a, before)  # the caller's matrix is never written
+
+
+def test_kernel_degenerate_shapes():
+    for field in KERNEL_FIELDS:
+        for shape in ((0, 4), (4, 0), (0, 0)):
+            rows, pivots = _rref_codes(np.zeros(shape, dtype=np.int64), field)
+            assert pivots == [] and rows.shape == (0, shape[1])
+            assert rank_codes(np.zeros(shape, dtype=np.int64), field) == 0
+        for code in (0, 1, field.order - 1):
+            rows, pivots = _rref_codes(np.array([[code]]), field)
+            assert rows.tolist() == ([[1]] if code else []) and pivots == ([0] if code else [])
+            assert rank_codes([[code]], field) == (1 if code else 0)
+
+
+def test_code_dtype_is_the_narrowest_safe_one():
+    # a row update holds up to (p - 1)^2 + p - 1, which must fit the dtype
+    assert code_arithmetic(make_field(46337)).dtype == np.int32
+    assert code_arithmetic(make_field(46349)).dtype == np.int64
+    assert code_arithmetic(F4).dtype == np.int32
+    assert code_arithmetic(make_field(3037000493)).dtype == np.int64
+    for p in (46337, 46349, 3037000493):
+        dtype = code_arithmetic(make_field(p)).dtype
+        assert (p - 1) ** 2 + p - 1 <= np.iinfo(dtype).max
+
+
+def test_residue_submul_at_the_int32_edge():
+    # the largest int32-coded prime, with factors and entries at p - 1
+    field = make_field(46337)
+    codes = code_arithmetic(field)
+    p = field.p
+    rows = np.full((2, 3), p - 1, dtype=codes.dtype)
+    pivots = np.array([[1, p - 1, p - 2]], dtype=codes.dtype)
+    codes.submul(rows, np.array([p - 1, 1], dtype=codes.dtype), pivots, np.array([0, 0]))
+    for f, row in zip((p - 1, 1), rows.tolist()):
+        assert row == [(p - 1 - f * v) % p for v in (1, p - 1, p - 2)]
+
+
+@pytest.mark.parametrize("field", [F5, F4, make_field(3037000493)], ids=str)
+@pytest.mark.parametrize("shape,density", [((1200, 300), 0.01), ((300, 300), 1.0)],
+                         ids=["tall-sparse", "dense-square"])
+@pytest.mark.parametrize("eliminate", [rank_codes, nullspace_codes])
+def test_elimination_peak_within_the_matrix_budget(field, shape, density, eliminate):
+    # the matrix cap charges _ELIM_BYTES_PER_CELL a cell; the matrix itself,
+    # built in the code dtype as the fixed-space assembly builds it, counts
+    rng = np.random.default_rng(5)
+    values = rng.integers(1, field.order, shape) * (rng.random(shape) < density)
+    if shape[0] > shape[1]:
+        values[::4] = 0  # rows no transvection term reaches
+    tracemalloc.start()
+    try:
+        a = np.zeros(shape, dtype=code_arithmetic(field).dtype)
+        a[...] = values
+        eliminate(a, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= a.size * _ELIM_BYTES_PER_CELL
 
 
 def test_kernel_size_exhaustive_extension_fields():
@@ -338,13 +501,12 @@ def test_kernel_size_exhaustive_extension_fields():
 
 
 def test_degenerate_shapes():
-    import numpy as np
-    from frobpow.ff import _ppowmod, _rref_codes
+    from frobpow.ff import _ppowmod
     assert rank_codes([], F5) == 0
     assert rank_codes(np.zeros((0, 5), dtype=np.int64), F5) == 0
     assert nullspace_codes([], F5).shape == (0, 0)
     assert nullspace_codes(np.zeros((2, 0), dtype=np.int64), F5).shape == (0, 0)
-    assert _rref_codes(np.zeros((2, 0), dtype=np.int64), F5) == []
+    assert _rref_codes(np.zeros((2, 0), dtype=np.int64), F5)[1] == []
     assert _ppowmod([0, 1], 0, [1, 1, 1], 2) == [1]
     assert MatrixFq.from_rows(F2, []).rows == 0
 

@@ -300,7 +300,8 @@ class TestDecomposition:
                          key=lambda s: s[0] * s[1])
         assert largest_block < rows * cols
         monkeypatch.setattr(invariants, "rank_codes", no_elimination)
-        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP", largest_block * 40)
+        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP",
+                            largest_block * invariants._ELIM_BYTES_PER_CELL)
         with pytest.raises(CapExceeded, match=f"a {rows} x {cols} matrix needs"):
             verify_decomposition(spec, m)
 
