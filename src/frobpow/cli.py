@@ -4,8 +4,8 @@ Every subcommand prints machine output on stdout (JSON by default, CSV or a
 short human rendering on request) and diagnostics on stderr.  Exit codes:
 0 all checks pass, 1 a comparison failed, 2 invalid parameters, 3 a size
 cap was exceeded (monomials, points, series length or the memory budget of
-an elimination), 10 the point-count conjecture mismatched its brute-force
-cross-check (a finding, not a bug).
+an elimination) or memory ran out before a cap fired, 10 the point-count
+conjecture mismatched its brute-force cross-check (a finding, not a bug).
 
 Each sweepable subcommand is one ``run_*`` function of (spec, m, caps) that
 returns its JSON payload and the status "ok" or "fail"; ``cmd_*`` renders it.
@@ -26,12 +26,10 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .ff import CapExceeded, factor_prime_power
 from .group import GroupSpec
-from .groebner import buchberger_check, resolution_2d
 from .invariants import (
     DEFAULT_MONOMIAL_CAP, brute_force_hilbert, full_gl_fixed_basis,
     h_generators, verify_decomposition)
@@ -145,6 +143,8 @@ def cmd_hilbert(args):
 
 def run_gbcheck(spec, m, from_scratch=False):
     """``gbcheck``: S-pair certificates; ValueError outside the h-generator range."""
+    from .groebner import buchberger_check  # only gbcheck needs the Groebner layer
+
     report = buchberger_check(h_generators(spec, m), from_scratch=from_scratch)
     return report.to_json(), "ok" if report.ok else "fail"
 
@@ -200,6 +200,8 @@ def cmd_orbits(args):
 # -- resolution2d -----------------------------------------------------------
 
 def cmd_resolution2d(args):
+    from .groebner import resolution_2d
+
     report = resolution_2d(args.p, args.m, args.e, args.ell)
     data = report.to_json()
     rows = ["key,value"] + [
@@ -367,6 +369,8 @@ def cmd_sweep(args):
         print("manifest produced no valid grid points", file=sys.stderr)
         return 2
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, jobs))
     else:
@@ -506,6 +510,10 @@ def main(argv=None):
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        # a backstop, not a cap: 1 must keep meaning "a comparison failed"
+        print("out of memory before any size cap fired", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

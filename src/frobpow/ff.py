@@ -7,21 +7,25 @@ tuples compared low-degree first), and roots of unity are the first elements
 of the required order in the fixed element enumeration.
 
 Elements are immutable values stored fully reduced; equality is coefficient
-equality.  Matrices are dense.  Heavy loops run on integer codes (see
+equality.  :class:`MatrixFq` is dense.  Heavy loops run on integer codes (see
 :meth:`Field.encode`) in numpy arrays through :func:`code_arithmetic`, the one
 place that picks residues mod p (r = 1) or lookup tables (r > 1), and the
 code dtype: int32 while (p - 1)^2 + p fits in it (primes up to 46337), else
-int64.  Residue products must fit in an int64, so prime fields need
-p <= 3037000500.
+int64.  Residue products must fit in an int64, so prime fields, and the
+prime of an extension field, need p <= 3037000500.
 
-Elimination is one round-based kernel (:func:`_echelon`), the simultaneous
-reduction by leading columns of F4 linear algebra: each round, every live
-row finds its leading column, the first row leading a column without a
-pivot becomes that column's pivot, and all other live rows are reduced by
-their columns' pivots in one vectorized step.  A matrix takes as many rounds
+Elimination is one sparse round-based kernel on :class:`CodeEntries`, a
+matrix's nonzero entries packed one int64 key each: the simultaneous
+reduction by leading columns of F4 linear algebra.  Each round, every live
+row takes its leading entry, the shortest row leading a column without a
+pivot becomes that column's pivot, and all other rows are reduced by their
+columns' pivots in one merge of sorted keys.  A matrix takes as many rounds
 as its longest chain of pivot dependencies, far fewer than its pivots.
-:func:`rank_codes` stops at the echelon form; :func:`nullspace_codes` and
-:meth:`MatrixFq.inverse` back-reduce it to the RREF, again in rounds.
+:func:`block_ranks` ranks independent column blocks in one elimination;
+:func:`rank_codes`, :func:`nullspace_codes` and :meth:`MatrixFq.inverse`
+wrap the same kernel for dense arrays, the last two with a back-reduction
+to the RREF, again in rounds.  Every elimination charges what it holds
+against MATRIX_BYTE_CAP before it allocates it.
 """
 
 from __future__ import annotations
@@ -254,6 +258,10 @@ def make_field(p, r=1):
         raise ValueError(f"{p} is not prime (divisible by {d})")
     if r < 1:
         raise ValueError("extension degree must be >= 1")
+    if p > _MAX_CODE_PRIME:
+        # the modulus search would scan p candidates before the first irreducible
+        raise ValueError(f"GF({p}^{r}) is too large for int64 code arithmetic: "
+                         f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
     for tail in itertools.product(range(p), repeat=r):
         mod = list(tail) + [1]
         if _is_irreducible(mod, p):
@@ -575,14 +583,13 @@ def _tables(field):
     return add, mul, neg, inv
 
 
+
 # Elementwise code arithmetic of one field, on ints and code arrays alike.
-# reduce(a) canonicalizes an array in place and returns it; inv(a) inverts
-# an array of nonzero codes; submul(rows, factors, pivots, index) is one
-# elimination step in place, rows[i] -= factors[i] * pivots[index[i]], with
-# pivots[index] gathered as its one temporary (over GF(p^r), a table lookup
-# result too).  dtype is the narrowest integer type in which that step
-# cannot overflow.
-CodeArithmetic = collections.namedtuple("CodeArithmetic", "reduce mul neg inv submul dtype")
+# reduce(a) canonicalizes an array in place and returns it; add, mul and neg
+# take canonical codes, inv an array of nonzero ones.  dtype is the
+# narrowest integer type that holds a product of two codes plus a code, the
+# type code matrices are kept in.
+CodeArithmetic = collections.namedtuple("CodeArithmetic", "reduce add mul neg inv dtype")
 
 
 @functools.lru_cache(maxsize=None)
@@ -591,117 +598,315 @@ def code_arithmetic(field):
 
     ValueError when a product of two residues would overflow an int64.
     """
-    # a row update holds values up to (p - 1)^2 + p - 1
     dtype = np.int32 if (field.p - 1) ** 2 + field.p <= np.iinfo(np.int32).max else np.int64
     if field.r > 1:
         add, mul, neg, inv = (t.astype(dtype) for t in _tables(field))
-
-        def table_submul(rows, factors, pivots, index):
-            rows[...] = add[rows, mul[neg[factors][:, None], pivots[index]]]
-
         return CodeArithmetic(
             reduce=lambda a: a,  # table codes are canonical by construction
-            mul=lambda a, b: mul[a, b], neg=lambda a: neg[a], inv=lambda a: inv[a],
-            submul=table_submul, dtype=dtype)
+            add=lambda a, b: add[a, b], mul=lambda a, b: mul[a, b],
+            neg=lambda a: neg[a], inv=lambda a: inv[a], dtype=dtype)
     p = field.p
     if p > _MAX_CODE_PRIME:
         raise ValueError(f"GF({p}) is too large for int64 code arithmetic: "
                          f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
-
-    def residue_submul(rows, factors, pivots, index):
-        block = pivots[index]
-        block *= (-factors % p)[:, None]
-        block += rows  # at most (p - 1)^2 + p - 1, never negative
-        np.fmod(block, p, out=rows)  # equals np.remainder here, and is faster
 
     def residue_reduce(a):
         if a.size and (a.min() < 0 or a.max() >= p):
             np.remainder(a, p, out=a)
         return a
 
+    def residue_mul(a, b):
+        out = a * b
+        out %= p
+        return out
+
+    def residue_inv(a):
+        # a^(p - 2) by repeated squaring, on the whole array at once
+        base, out, e = np.asarray(a, dtype=np.int64), np.ones(np.shape(a), dtype=np.int64), p - 2
+        while e:
+            if e & 1:
+                out = out * base % p
+            base = base * base % p
+            e >>= 1
+        return out
+
     return CodeArithmetic(
-        reduce=residue_reduce,
-        mul=lambda a, b: a * b % p, neg=lambda a: -a % p,
-        inv=lambda a: np.array([pow(int(x), -1, p) for x in a], dtype=dtype),
-        submul=residue_submul, dtype=dtype)
+        reduce=residue_reduce, add=lambda a, b: (a + b) % p,
+        mul=residue_mul, neg=lambda a: -a % p, inv=residue_inv, dtype=dtype)
 
 
-def _echelon(a, field):
-    """Echelon form of an integer-code matrix, by rounds: (pivot rows, their columns).
+# -- sparse elimination -----------------------------------------------------
 
-    The working set is a copy of a's nonzero rows in the code dtype; a is left
-    as it is.  In each round every live row finds its leading column, the
-    first row leading a column without a pivot becomes that column's
-    normalized pivot, and every other live row is reduced by the pivot of its
-    leading column in one submul, which moves its leading column right.  Rows
-    that reach zero are dropped.  Pivot rows are returned in the order found,
-    each with a unit leading entry.
+MATRIX_BYTE_CAP = 512 * 2 ** 20  # memory budget of one elimination or monomial table
+# What elimination holds at its peak per stored entry: the key, the merged
+# copy of a round, the sort buffer and the gathered pivot tails, or, in the
+# pivot search, the row starts, lengths and leading columns.  Matrices of
+# one-entry rows come closest, at about 46 bytes.
+_ENTRY_BYTES = 48
+
+
+def check_budget(nbytes, what):
+    """CapExceeded when an allocation of nbytes would pass MATRIX_BYTE_CAP."""
+    if nbytes > MATRIX_BYTE_CAP:
+        raise CapExceeded(f"{what} needs {nbytes >> 20} MiB, "
+                          f"above the budget of {MATRIX_BYTE_CAP >> 20} MiB")
+
+
+def _segments(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated, in starts' dtype."""
+    nz = counts > 0
+    starts, counts = starts[nz], counts[nz]
+    index = np.ones(int(counts.sum()), dtype=starts.dtype)
+    if not len(index):
+        return index
+    # ones, with a jump at the start of every range, summed up
+    ends = np.cumsum(counts)
+    index[0] = starts[0]
+    index[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
+    return np.cumsum(index, out=index)
+
+
+class CodeEntries:
+    """The nonzero entries of an integer-code matrix, one int64 key each.
+
+    A key is row << row_shift | col << col_shift | code, so ascending keys
+    list the entries row by row and each row by column.  The constructor
+    checks that the shape fits 63 bits and charges ``capacity`` entries
+    against MATRIX_BYTE_CAP before it allocates; :meth:`add` appends
+    entries, whose codes must be canonical and nonzero.  An elimination
+    (:meth:`block_ranks`, :meth:`rref`, :meth:`nullspace`) consumes them.
+    Positions and columns are held as ``index``: int32 while the budget
+    admits fewer than 2^31 entries, as it does by default.
     """
-    codes = code_arithmetic(field)
-    a = np.asarray(a)
-    work = codes.reduce(a[a.any(axis=1)]).astype(codes.dtype, copy=False)
-    owner = np.full(work.shape[1], -1, dtype=np.intp)  # pivot row of each column
-    index = np.arange(len(work))
-    pcols = []
-    top, end, start = 0, len(work), 0  # work[:top] pivots, work[top:end] live
-    while top < end and start < work.shape[1]:
-        # live rows are zero left of start; so is every pivot they meet
-        live = work[top:end, start:]
-        nonzero = live != 0
-        lead = nonzero.argmax(axis=1)
-        rows = nonzero[index[:len(lead)], lead].nonzero()[0]
-        del nonzero
-        rows = rows[lead[rows].argsort(kind="stable")]
-        lead = lead[rows] + start
-        # the first row leading each column that has no pivot yet is its pivot
-        fresh = np.empty(len(rows), dtype=bool)
-        fresh[:1] = True
-        np.not_equal(lead[1:], lead[:-1], out=fresh[1:])
-        fresh &= owner[lead] < 0
-        pick = (~fresh).argsort(kind="stable")
-        rows, lead, k = rows[pick], lead[pick], int(np.count_nonzero(fresh))
-        end = top + len(rows)
-        work[top:end, start:] = live[rows]
-        new = work[top:top + k, start:]
-        new[...] = codes.mul(codes.inv(new[index[:k], lead[:k] - start])[:, None], new)
-        owner[lead[:k]] = index[top:top + k]
-        pcols.extend(lead[:k].tolist())
-        top, lead = top + k, lead[k:]
-        if top == end:
-            break
-        # every other row is reduced by the pivot of its leading column
-        start = int(lead[0])
-        live = work[top:end, start:]
-        codes.submul(live, live[index[:len(lead)], lead - start], work[:, start:],
-                     owner[lead])
-        start += 1
-    return work[:top], pcols
+
+    def __init__(self, capacity, nrows, ncols, field):
+        self.codes, self.ncols = code_arithmetic(field), ncols
+        self.col_shift = (field.order - 1).bit_length()
+        self.row_shift = self.col_shift + max(ncols - 1, 0).bit_length()
+        if self.row_shift + max(nrows - 1, 0).bit_length() > 63:
+            raise CapExceeded(f"a {nrows} x {ncols} matrix over GF({field.order}) "
+                              f"has more cells than 63-bit entry keys can index")
+        self._charge(capacity, f"eliminating a matrix of {capacity} entries")
+        self.index = np.int32 if MATRIX_BYTE_CAP < _ENTRY_BYTES * 2 ** 31 else np.int64
+        self.keys = np.empty(capacity, dtype=np.int64)
+        self.size = 0
+
+    @classmethod
+    def from_dense(cls, a, field):
+        """The nonzero entries of a dense code array, reduced; a is left as it is."""
+        a = np.asarray(a)
+        rows, cols = np.nonzero(a)
+        codes = code_arithmetic(field).reduce(a[rows, cols])
+        if not codes.all():
+            nz = codes != 0
+            rows, cols, codes = rows[nz], cols[nz], codes[nz]
+        out = cls(len(codes), *a.shape, field)
+        out.add(rows, cols, codes)
+        return out
+
+    def add(self, rows, cols, codes):
+        out = self.keys[self.size:self.size + len(rows)]
+        out[...] = rows
+        out <<= self.row_shift - self.col_shift
+        out |= cols
+        out <<= self.col_shift
+        out |= codes
+        self.size += len(rows)
+
+    def _reduce(self, keep, heads, factors, src, starts, counts, stored):
+        """Replace the live keys by keys[keep] plus, for each i, factors[i] times
+        src[starts[i]:starts[i] + counts[i]] moved to the row of keys[heads[i]],
+        merged: sorted, the codes of one cell added, zeros dropped.  The
+        merged entries and the ``stored`` pivot entries are charged first.
+        """
+        cs, rs = self.col_shift, self.row_shift
+        vmask = (1 << cs) - 1
+        kept, total = int(np.count_nonzero(keep)), int(counts.sum())
+        self._charge(kept + total + stored,
+                     f"eliminating with {kept + total} live and {stored} pivot entries")
+        tail = src[_segments(starts, counts)]
+        rows = self.keys[heads]
+        rows >>= rs
+        rows <<= rs
+        live = self.keys[keep]
+        self.keys = src = keep = None
+        vals = tail & vmask
+        tail ^= vals
+        tail &= (1 << rs) - 1  # the column alone
+        tail |= np.repeat(rows, counts)
+        tail |= self.codes.mul(vals, np.repeat(factors, counts))
+        del vals
+        merged = np.concatenate((live, tail))
+        del live, tail
+        merged.sort(kind="stable")  # two sorted runs: one merge pass
+        pos = merged >> cs
+        same = np.flatnonzero(pos[1:] == pos[:-1])  # at most two entries share a cell
+        del pos
+        if len(same):
+            sums = self.codes.add(merged[same] & vmask, merged[same + 1] & vmask)
+            merged[same] ^= (merged[same] & vmask) ^ sums
+            keep = np.ones(len(merged), dtype=bool)
+            keep[same + 1] = False
+            keep[same[sums == 0]] = False
+            merged = merged[keep]
+        self.keys = merged
+
+    def _charge(self, entries, what, nbytes=0):
+        """check_budget for entries plus nbytes; a column costs an entry, for its pivot."""
+        check_budget((entries + self.ncols) * _ENTRY_BYTES + nbytes, what)
+
+    def _rows(self):
+        """(start, length) of each row of the sorted live keys."""
+        start = np.empty(len(self.keys), dtype=bool)
+        start[:1] = True
+        row = self.keys >> self.row_shift
+        np.not_equal(row[1:], row[:-1], out=start[1:])
+        del row
+        start = np.flatnonzero(start).astype(self.index)
+        return start, np.diff(start, append=self.index(len(self.keys)))
+
+    def _eliminate(self):
+        """Echelon form by rounds, consuming the entries: (store, first, length).
+
+        Each round, every live row takes its leading entry; the shortest row
+        leading a column without a pivot (the first of equals) becomes that
+        column's pivot, normalized to a leading one, which keeps the fill
+        down; every other row is reduced by the pivot of its leading column,
+        all in one merge.  A matrix takes as many
+        rounds as its longest chain of pivot dependencies.  The pivot of
+        column c is store[first[c]:first[c] + length[c]] (keys without the
+        row, lead first); first[c] is -1 where column c has none.
+        """
+        codes, cs, rs = self.codes, self.col_shift, self.row_shift
+        vmask, cmask = (1 << cs) - 1, (1 << (rs - cs)) - 1
+        if self.size < len(self.keys):  # the capacity was an upper bound
+            self.keys = self.keys[:self.size].copy()
+        self.keys.sort()
+        first = np.full(self.ncols, -1, dtype=self.index)
+        length = np.zeros(self.ncols, dtype=self.index)
+        store, stored = np.empty(0, dtype=np.int64), 0
+        while len(self.keys):
+            heads, counts = self._rows()
+            lead = self.keys[heads]
+            lead >>= cs
+            lead = (lead & cmask).astype(self.index)
+            # the shortest row leading each column that has no pivot yet is its pivot
+            fresh = np.flatnonzero(first[lead] < 0).astype(self.index)
+            fresh = fresh[np.lexsort((counts[fresh], lead[fresh]))]
+            pick = np.ones(len(fresh), dtype=bool)
+            np.not_equal(lead[fresh[1:]], lead[fresh[:-1]], out=pick[1:])
+            new = fresh[pick]
+            del fresh, pick
+            taken = _segments(heads[new], counts[new])
+            if stored + len(taken) > len(store):
+                store = np.resize(store, max(stored + len(taken), 2 * len(store)))
+            piv = store[stored:stored + len(taken)]
+            np.take(self.keys, taken, out=piv)
+            scale = np.repeat(codes.inv(self.keys[heads[new]] & vmask), counts[new])
+            piv ^= (piv & vmask) ^ codes.mul(scale, piv & vmask)
+            piv &= (1 << rs) - 1
+            del scale, piv
+            first[lead[new]] = stored + np.cumsum(counts[new]) - counts[new]
+            length[lead[new]] = counts[new]
+            stored += len(taken)
+            # every other row sheds its leading entry for its column's pivot tail
+            keep = np.ones(len(self.keys), dtype=bool)
+            keep[taken] = False
+            keep[heads] = False
+            rest = np.ones(len(heads), dtype=bool)
+            rest[new] = False
+            heads, lead = heads[rest], lead[rest]
+            del taken, rest, new, counts
+            self._reduce(keep, heads, codes.neg(self.keys[heads] & vmask),
+                         store, first[lead] + 1, length[lead] - 1, stored)
+        return store, first, length
+
+    def block_ranks(self, col_bounds):
+        """Ranks of the column blocks col_bounds[i] .. col_bounds[i + 1] - 1.
+
+        The blocks must be independent: no row has entries in two of them.
+        """
+        _, first, _ = self._eliminate()
+        block = np.searchsorted(col_bounds, np.flatnonzero(first >= 0), side="right") - 1
+        return np.bincount(block, minlength=len(col_bounds) - 1).tolist()
+
+    def _back_reduce(self):
+        """The pivot rows, back-reduced to the reduced echelon form: (keys, pivot columns).
+
+        A row is numbered by the rank of its pivot column.  In each round,
+        every row with a nonzero entry in another pivot column sheds the
+        leftmost such entry for the pivot row of that column, which only
+        touches columns further right.
+        """
+        codes, cs, rs = self.codes, self.col_shift, self.row_shift
+        vmask, cmask = (1 << cs) - 1, (1 << (rs - cs)) - 1
+        store, first, length = self._eliminate()
+        pcols = np.flatnonzero(first >= 0)
+        rank_of = np.full(self.ncols, -1, dtype=self.index)
+        rank_of[pcols] = np.arange(len(pcols))
+        self.keys = store[_segments(first[pcols], length[pcols])]
+        self.keys |= np.repeat(np.arange(len(pcols), dtype=np.int64) << rs, length[pcols])
+        del store
+        while True:
+            heads, counts = self._rows()  # one row per pivot
+            live = self.keys
+            owner = rank_of[live >> cs & cmask]
+            row = live >> rs
+            dirty = np.flatnonzero((owner >= 0) & (owner != row))
+            if not len(dirty):
+                return live, pcols
+            dirty = dirty[np.r_[True, row[dirty[1:]] != row[dirty[:-1]]]]  # leftmost
+            keep = np.ones(len(live), dtype=bool)
+            keep[dirty] = False
+            src = owner[dirty]
+            self._reduce(keep, heads[row[dirty]], codes.neg(live[dirty] & vmask),
+                         live, heads[src] + 1, counts[src] - 1, 0)
+
+    def rref(self):
+        """Reduced row echelon form: (rows in the code dtype, pivot columns)."""
+        live, pcols = self._back_reduce()
+        cs, rs, dtype = self.col_shift, self.row_shift, self.codes.dtype
+        self._charge(len(live), f"a {len(pcols)} x {self.ncols} echelon form",
+                     len(pcols) * self.ncols * np.dtype(dtype).itemsize)
+        out = np.zeros((len(pcols), self.ncols), dtype=dtype)
+        out[live >> rs, live >> cs & (1 << (rs - cs)) - 1] = live & (1 << cs) - 1
+        return out, pcols.tolist()
+
+    def nullspace(self):
+        """Right-nullspace basis in the canonical parameterization: one row per
+        free column, ascending, with a one there and zeros at the other free
+        columns."""
+        live, pcols = self._back_reduce()
+        cs, rs, dtype = self.col_shift, self.row_shift, self.codes.dtype
+        free = np.setdiff1d(np.arange(self.ncols), pcols)
+        self._charge(len(live), f"a {len(free)} x {self.ncols} nullspace basis",
+                     len(free) * self.ncols * np.dtype(dtype).itemsize)
+        basis = np.zeros((len(free), self.ncols), dtype=dtype)
+        basis[np.arange(len(free)), free] = 1
+        slot = np.full(self.ncols, -1, dtype=self.index)  # basis row of each free column
+        slot[free] = np.arange(len(free))
+        slot = slot[live >> cs & (1 << (rs - cs)) - 1]
+        hit = slot >= 0
+        basis[slot[hit], pcols[live[hit] >> rs]] = self.codes.neg(live[hit] & (1 << cs) - 1)
+        return basis
+
+
+def block_ranks(rows, cols, codes, col_bounds, field):
+    """Ranks of independent column blocks of one matrix given by its entries.
+
+    (rows, cols, codes) lists the entries, codes canonical and nonzero; block i
+    is the columns col_bounds[i] .. col_bounds[i + 1] - 1, and no row may
+    reach into two blocks.  The arguments are left as they are.
+    """
+    entries = CodeEntries(len(rows), int(np.max(rows, initial=0)) + 1, int(col_bounds[-1]),
+                          field)
+    entries.add(rows, cols, codes)
+    return entries.block_ranks(col_bounds)
 
 
 def _rref_codes(a, field):
-    """Reduced row echelon form of an integer-code matrix: (rows, pivot columns).
-
-    The echelon rows of :func:`_echelon`, sorted by pivot column, then
-    back-reduced in rounds: each row with a nonzero entry in another pivot
-    column is reduced by the pivot of the leftmost such column, which only
-    touches columns further right.
-    """
-    codes = code_arithmetic(field)
-    rows, pcols = _echelon(a, field)
-    order = np.argsort(pcols)
-    rows, pcols = rows[order], [pcols[i] for i in order]
-    diag = np.arange(len(pcols))
-    while len(pcols):
-        dirty = (rows != 0)[:, pcols]
-        dirty[diag, diag] = False
-        col = dirty.argmax(axis=1)
-        hit = dirty[diag, col]
-        del dirty
-        if not hit.any():
-            break
-        # a clean row takes factor 0, which leaves it as it is
-        codes.submul(rows, np.where(hit, rows[diag, np.take(pcols, col)], 0), rows, col)
-    return rows, pcols
+    """Reduced row echelon form of an integer-code matrix: (rows, pivot columns)."""
+    return CodeEntries.from_dense(a, field).rref()
 
 
 def nullspace_codes(a, field):
@@ -710,16 +915,9 @@ def nullspace_codes(a, field):
     Returns a (k, cols) array; one row per free column, ascending.
     """
     a = np.asarray(a)
-    rows, cols = a.shape if a.ndim == 2 else (0, 0)
-    if cols == 0:
+    if a.ndim != 2 or a.shape[1] == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    rref, pivots = _rref_codes(a, field)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    codes = code_arithmetic(field)
-    basis = np.zeros((len(free), cols), dtype=codes.dtype)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = codes.neg(rref[:, free].T)
-    return basis
+    return CodeEntries.from_dense(a, field).nullspace()
 
 
 def rank_codes(a, field):
@@ -727,7 +925,7 @@ def rank_codes(a, field):
     a = np.asarray(a)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    return len(_echelon(a, field)[1])
+    return CodeEntries.from_dense(a, field).block_ranks([0, a.shape[1]])[0]
 
 
 def nullspace(m):

@@ -12,16 +12,19 @@ element objects per monomial:
   sends x^a to sum_j C(a_k, j) c^j x^(a - j e_k + j e_l), so its (g - 1)
   columns are the terms j >= 1 with a_l + j < Q, their binomials mod p by
   Lucas' theorem;
-* the (g - 1) blocks of all transvections are stacked per degree and
-  eliminated; any other kind of generator is rejected.
+* the (g - 1) blocks of all transvections are stacked per degree, each
+  degree is a column block of one sparse matrix, and a single elimination
+  ranks every block; any other kind of generator is rejected.
 
 The A/B decomposition runs on integer codes too: every coefficient of its
 spanning vectors lies in the prime subfield, so a residue mod p is its own
-code, and each degree's A and B rows are stacked into one code matrix.
+code, and each degree's A, B and stacked A + B rows are three column blocks
+of one elimination.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
-enumerated; MATRIX_BYTE_CAP bounds the memory that eliminating the largest
-per-degree matrix takes, and is checked before any matrix is built.
+enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them and of
+every elimination, whose entries are counted and charged before any is
+built.
 """
 
 from __future__ import annotations
@@ -33,19 +36,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, MatrixFq, binom_mod_p, code_arithmetic, factor_prime_power, \
-    make_field, nullspace_codes, rank_codes, root_of_unity
+from .ff import CapExceeded, CodeEntries, MatrixFq, binom_mod_p, check_budget, code_arithmetic, \
+    factor_prime_power, make_field, root_of_unity
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
 DEFAULT_MONOMIAL_CAP = 10 ** 6
-# Memory budget for eliminating one matrix.  At its peak elimination holds
-# three code arrays of the matrix's size: the matrix, the working set of its
-# nonzero rows, and one gathered row block (a table lookup result instead,
-# over GF(p^r)).  With int64 codes that is 24 bytes a cell; a byte of mask
-# and the per-row and per-column index arrays stay within 26.
-MATRIX_BYTE_CAP = 512 * 2 ** 20
-_ELIM_BYTES_PER_CELL = 26
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,10 @@ def _degree_buckets(n, Q):
     Each array lists its monomials in itertools.product order, which is the
     ascending order of their codes (see _codes).
     """
-    grid = np.indices((Q,) * n, dtype=np.int16 if Q <= 2 ** 15 else np.int32)
+    dtype = np.dtype(np.int16 if Q <= 2 ** 15 else np.int32)
+    # the grid and its sorted copy, plus an int64 degree and sort index each
+    check_budget(Q ** n * (2 * n * dtype.itemsize + 16), f"listing the {Q ** n} monomials")
+    grid = np.indices((Q,) * n, dtype=dtype)
     grid = grid.reshape(n, -1).T
     degrees = grid.sum(axis=1)
     ordered = grid[np.argsort(degrees, kind="stable")]
@@ -300,6 +299,12 @@ def _fixed_by_diagonals(exps, logs, order):
     return keep
 
 
+def _term_counts(cols, move, Q):
+    """Per column, the number of terms j >= 1 of (g - 1) x^a inside the quotient."""
+    k, l, _ = move
+    return np.minimum(cols[:, k], Q - 1 - cols[:, l]).astype(np.int64)
+
+
 def _transvection_terms(bucket_codes, cols, move, field, Q):
     """Nonzero entries (rows, cols, codes) of g - 1 on one degree's columns.
 
@@ -310,7 +315,7 @@ def _transvection_terms(bucket_codes, cols, move, field, Q):
     """
     k, l, powers = move
     ak = cols[:, k].astype(np.int64)
-    counts = np.minimum(ak, Q - 1 - cols[:, l])
+    counts = _term_counts(cols, move, Q)
     col = np.repeat(np.arange(len(cols)), counts)
     j = np.arange(len(col)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
     code = code_arithmetic(field).mul(_binomials(ak[col], j, field.p), powers[j])
@@ -321,47 +326,49 @@ def _transvection_terms(bucket_codes, cols, move, field, Q):
     return np.searchsorted(bucket_codes, target), col, code[nz]
 
 
-def _check_matrix_cap(shapes):
-    """CapExceeded when the largest (rows, cols) shape is too big to eliminate."""
-    rows, cols = max(shapes, key=lambda s: s[0] * s[1], default=(0, 0))
-    need = rows * cols * _ELIM_BYTES_PER_CELL
-    if need > MATRIX_BYTE_CAP:
-        raise CapExceeded(
-            f"a {rows} x {cols} matrix needs {need >> 20} MiB to eliminate, "
-            f"above the budget of {MATRIX_BYTE_CAP >> 20} MiB")
+def _stacked_entries(degrees, moves, field, Q):
+    """The (g - 1) stacks of the given (bucket, columns) degrees side by side.
+
+    Degree i is a column block with a row block per transvection, so the
+    blocks are independent.  Terms are counted, and charged, before any
+    entry is built; each generator's entries are packed as they come.
+    """
+    terms = sum(int(_term_counts(cols, move, Q).sum()) for _, cols in degrees for move in moves)
+    entries = CodeEntries(terms, len(moves) * sum(len(bucket) for bucket, _ in degrees),
+                          sum(len(cols) for _, cols in degrees), field)
+    row0 = col0 = 0
+    for bucket, cols in degrees:
+        bucket_codes = _codes(bucket, Q)
+        for move in moves:
+            rows, cidx, codes = _transvection_terms(bucket_codes, cols, move, field, Q)
+            entries.add(rows + row0, cidx + col0, codes)
+            row0 += len(bucket)
+        col0 += len(cols)
+    return entries
 
 
 def _fixed_space(gens, field, n, Q, want_basis=False):
-    """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q]."""
+    """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q].
+
+    The dims come from one elimination of every degree's stack at once, the
+    basis from one nullspace per degree.
+    """
     logs, moves = _split_generators(gens, Q)
     buckets = _degree_buckets(n, Q)
-    columns = [bucket[_fixed_by_diagonals(bucket, logs, field.order - 1)]
+    degrees = [(bucket, bucket[_fixed_by_diagonals(bucket, logs, field.order - 1)])
                for bucket in buckets]
-    _check_matrix_cap([(len(moves) * len(b), len(c)) for b, c in zip(buckets, columns)])
-    dims = []
+    widths = [len(cols) for _, cols in degrees]
+    if not want_basis:
+        ranks = _stacked_entries(degrees, moves, field, Q).block_ranks(
+            np.cumsum([0] + widths))
+        return [w - r for w, r in zip(widths, ranks)], None
     basis = []
-    dtype = code_arithmetic(field).dtype
-    for bucket, cols in zip(buckets, columns):
-        monos = [tuple(a) for a in cols.tolist()] if want_basis else None
-        if not moves or not len(cols):
-            dims.append(len(cols))
-            if want_basis:
-                basis.append([{mono: field.one()} for mono in monos])
-            continue
-        nrows = len(bucket)
-        bucket_codes = _codes(bucket, Q)
-        stacked = np.zeros((nrows * len(moves), len(cols)), dtype=dtype)
-        for gi, move in enumerate(moves):
-            rows, cidx, codes = _transvection_terms(bucket_codes, cols, move, field, Q)
-            stacked[gi * nrows + rows, cidx] = codes
-        if not want_basis:
-            dims.append(len(cols) - rank_codes(stacked, field))
-            continue
-        kernel = nullspace_codes(stacked, field)
-        dims.append(len(kernel))
+    for degree in degrees:
+        monos = [tuple(a) for a in degree[1].tolist()]
+        kernel = _stacked_entries([degree], moves, field, Q).nullspace()
         basis.append([{monos[ci]: field.decode(int(krow[ci])) for ci in np.flatnonzero(krow)}
                       for krow in kernel])
-    return dims, (basis if want_basis else None)
+    return [len(b) for b in basis], basis
 
 
 def _check_cap(Q, n, cap):
@@ -483,36 +490,39 @@ def _b_vectors(spec, m, cap):
     return by_degree
 
 
-def _ab_matrix(vecs, bucket, Q, field):
-    """One degree's vectors as the rows of a code matrix; columns follow the bucket."""
-    out = np.zeros((len(vecs), len(bucket)), dtype=code_arithmetic(field).dtype)
-    if vecs:
-        rows = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
-        monos = np.array([mono for vec in vecs for mono in vec], dtype=np.int64)
-        out[rows, np.searchsorted(_codes(bucket, Q), _codes(monos, Q))] = \
-            [c for vec in vecs for c in vec.values()]
-    return out
+def _ab_entries(vecs, bucket, Q):
+    """One degree's vectors as entries (rows, cols, codes); columns follow the bucket."""
+    rows = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
+    monos = np.array([mono for vec in vecs for mono in vec], dtype=np.int64)
+    cols = np.searchsorted(_codes(bucket, Q), _codes(monos, Q))
+    return rows, cols, np.array([c for vec in vecs for c in vec.values()], dtype=np.int64)
 
 
 def _ab_ranks(spec, m, cap):
     """Per-degree (rank A, rank B, rank of A stacked on B).
 
-    The cap is checked on every A, then B, then stacked shape before any
-    matrix is built; then one degree's stack at a time is built and ranked
-    whole and as its A and B row blocks.
+    Every degree's A, B and stacked rows are column blocks of one
+    elimination; their entries, each vector twice, are charged before any
+    is built.
     """
     Q = spec.q ** m
     a_vecs, b_vecs = _a_vectors(spec, m, cap), _b_vectors(spec, m, cap)
     buckets = _degree_buckets(spec.n, Q)
-    for counts in ([len(av) for av in a_vecs], [len(bv) for bv in b_vecs],
-                   [len(av) + len(bv) for av, bv in zip(a_vecs, b_vecs)]):
-        _check_matrix_cap([(c, len(bucket)) for c, bucket in zip(counts, buckets)])
-    ranks = []
-    for av, bv, bucket in zip(a_vecs, b_vecs, buckets):
-        stack = _ab_matrix(av + bv, bucket, Q, spec.field)
-        ranks.append(tuple(rank_codes(block, spec.field) if len(block) else 0
-                           for block in (stack[:len(av)], stack[len(av):], stack)))
-    return ranks
+    vecs = [av + bv for av, bv in zip(a_vecs, b_vecs)]
+    entries = CodeEntries(2 * sum(len(vec) for vs in vecs for vec in vs),
+                          2 * sum(map(len, vecs)), 3 * Q ** spec.n, spec.field)
+    row0 = col0 = 0
+    for av, both, bucket in zip(a_vecs, vecs, buckets):
+        if both:
+            rows, cols, codes = _ab_entries(both, bucket, Q)
+            alone = np.where(rows < len(av), col0, col0 + len(bucket))
+            entries.add(rows + row0, cols + alone, codes)
+            entries.add(rows + row0 + len(both), cols + col0 + 2 * len(bucket), codes)
+            row0 += 2 * len(both)
+        col0 += 3 * len(bucket)
+    widths = np.repeat([len(bucket) for bucket in buckets], 3)
+    ranks = entries.block_ranks(np.cumsum(np.r_[0, widths]))
+    return [tuple(ranks[i:i + 3]) for i in range(0, len(ranks), 3)]
 
 
 def a_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):

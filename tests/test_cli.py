@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from frobpow import cli, ff, invariants
 from frobpow.cli import _dump_json, main
 
 GOLDEN_HILBERT_FORMULA = """\
@@ -166,16 +167,45 @@ class TestHilbert:
         assert code == 3
         assert "above the cap" in capsys.readouterr().err
 
-    def test_matrix_cap_exits_3_quickly(self, capsys):
-        # 27^4 monomials pass the default monomial cap; the top-degree
-        # stacked matrix (about 39k x 6.6k cells) does not fit the budget
+    def test_matrix_cap_exits_3_quickly(self, capsys, monkeypatch):
+        # 27^4 monomials pass the default monomial cap; under a 256 MiB
+        # budget the 6965595 transvection terms are refused before any is built
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 256 * 2 ** 20)
+        invariants._brute_dims.cache_clear()
         start = time.perf_counter()
         code = main(["hilbert", "--p", "3", "--n", "4", "--m", "3", "--mode", "brute"])
         assert time.perf_counter() - start < 10
         assert code == 3
         err = capsys.readouterr().err
-        assert "MiB to eliminate" in err
+        assert "eliminating a matrix of 6965595 entries needs" in err
         assert err.count("\n") == 1
+
+    def test_largest_quotient_within_the_monomial_cap_matches(self, capsys):
+        # 27^4 monomials, 3.6M nonzero entries: inside the default budget
+        invariants._brute_dims.cache_clear()
+        code = main(["hilbert", "--p", "3", "--n", "4", "--m", "3", "--mode", "both"])
+        invariants._brute_dims.cache_clear()
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["equal"] is True and data["brute_total"] == 29160
+
+    def test_monomial_table_past_the_budget_exits_3(self, capsys):
+        # a raised monomial cap lets 46337^2 monomials through, but listing
+        # their exponents is charged to the budget before it is allocated
+        code = main(["hilbert", "--p", "46337", "--n", "2", "--m", "1", "--mode", "brute",
+                     "--max-monomials", "3000000000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "listing the 2147117569 monomials needs" in err
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_hilbert", exhausted)
+        assert main(["hilbert", "--p", "3", "--n", "2", "--m", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of memory" in err
 
     def test_formula_cap_exits_3_before_expanding(self, capsys):
         # the series would hold 2^32 coefficients
@@ -237,6 +267,16 @@ class TestGbcheck:
                      "--ell", "0", "--e", "2"])
         assert code == 2
         assert "ell = n - 1" in capsys.readouterr().err
+
+    def test_huge_extension_field_exits_2_quickly(self, capsys):
+        # refused before the modulus search, which would scan p candidates
+        start = time.perf_counter()
+        code = main(["gbcheck", "--p", "4294967311", "--r", "2", "--n", "2", "--m", "1",
+                     "--full-stabilizer"])
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large for int64" in err
 
     @pytest.mark.parametrize("p", ["3037000507", "4294967311"])
     def test_huge_prime_exits_2(self, capsys, p):

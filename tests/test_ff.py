@@ -1,9 +1,10 @@
-"""Field arithmetic, dense linear algebra, and Lucas binomials.
+"""Field arithmetic, sparse elimination, and Lucas binomials.
 
 Oracles: an in-test exhaustive irreducibility scan (trial division by all
 lower-degree monic polynomials), integer powering for element orders, sympy's
-DomainMatrix over GF(p) for ranks, math.comb for binomials, and exhaustive
-kernel counting over tiny extension fields.
+DomainMatrix over GF(p) for ranks, a per-pivot RREF loop and the earlier
+dense round-based echelon kernel for the sparse kernel, math.comb for
+binomials, and exhaustive kernel counting over tiny extension fields.
 """
 
 import itertools
@@ -17,15 +18,17 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
+from frobpow import ff
 from frobpow.ff import (
     CapExceeded,
+    CodeEntries,
     Field,
     FieldElem,
     MatrixFq,
-    _echelon,
     _rref_codes,
     _tables,
     binom_mod_p,
+    block_ranks,
     code_arithmetic,
     embed,
     make_field,
@@ -34,7 +37,6 @@ from frobpow.ff import (
     rank_codes,
     root_of_unity,
 )
-from frobpow.invariants import _ELIM_BYTES_PER_CELL
 
 F2, F3, F5, F7 = make_field(2), make_field(3), make_field(5), make_field(7)
 F4, F8, F9, F25, F27, F49, F81 = (
@@ -88,6 +90,13 @@ def test_modulus_is_lex_smallest_irreducible(p, r):
         if cand == list(field.modulus):
             break
         assert not _oracle_irreducible(cand, p)
+
+
+def test_make_field_refuses_huge_extension_fields():
+    # the modulus search would first scan the p reducible x^r + ... + c x
+    with pytest.raises(ValueError, match="too large for int64"):
+        make_field(4294967311, 2)
+    assert make_field(3037000493).order == 3037000493
 
 
 def test_make_field_pinned_moduli():
@@ -383,6 +392,62 @@ def _per_pivot_rref(a, field):
     return a[:len(pivots)], pivots
 
 
+def _dense_echelon(a, field):
+    """Reference echelon form, densely by rounds: (pivot rows, their columns).
+
+    Each round every live row finds its leading column, the first row leading
+    a column without a pivot becomes its normalized pivot, and every other
+    live row is reduced by the pivot of its leading column in one step.
+    """
+    codes = code_arithmetic(field)
+    if field.r > 1:
+        add, mul, neg, _ = _tables(field)
+
+        def submul(rows, factors, pivots, index):
+            rows[...] = add[rows, mul[neg[factors][:, None], pivots[index]]]
+    else:
+        p = field.p
+
+        def submul(rows, factors, pivots, index):
+            rows[...] = (rows - factors[:, None] * pivots[index]) % p
+
+    a = np.array(a, dtype=np.int64)
+    if field.r == 1:
+        a %= field.p
+    work = a[a.any(axis=1)]
+    owner = np.full(work.shape[1], -1, dtype=np.intp)
+    index = np.arange(len(work))
+    pcols = []
+    top, end, start = 0, len(work), 0
+    while top < end and start < work.shape[1]:
+        live = work[top:end, start:]
+        nonzero = live != 0
+        lead = nonzero.argmax(axis=1)
+        rows = nonzero[index[:len(lead)], lead].nonzero()[0]
+        rows = rows[lead[rows].argsort(kind="stable")]
+        lead = lead[rows] + start
+        fresh = np.empty(len(rows), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(lead[1:], lead[:-1], out=fresh[1:])
+        fresh &= owner[lead] < 0
+        pick = (~fresh).argsort(kind="stable")
+        rows, lead, k = rows[pick], lead[pick], int(np.count_nonzero(fresh))
+        end = top + len(rows)
+        work[top:end, start:] = live[rows]
+        new = work[top:top + k, start:]
+        new[...] = codes.mul(codes.inv(new[index[:k], lead[:k] - start])[:, None], new)
+        owner[lead[:k]] = index[top:top + k]
+        pcols.extend(lead[:k].tolist())
+        top, lead = top + k, lead[k:]
+        if top == end:
+            break
+        start = int(lead[0])
+        live = work[top:end, start:]
+        submul(live, live[index[:len(lead)], lead - start], work[:, start:], owner[lead])
+        start += 1
+    return work[:top], pcols
+
+
 KERNEL_FIELDS = [F2, F5, make_field(46337), make_field(46349), make_field(3037000493),
                  F4, F8, F9]
 
@@ -413,8 +478,79 @@ def test_kernel_matches_per_pivot_loop(field):
         assert pivots == expected_pivots
         assert np.array_equal(rows, expected_rows)
         assert rank_codes(a, field) == len(expected_pivots)
-        assert sorted(_echelon(a, field)[1]) == expected_pivots
+        assert sorted(_dense_echelon(a, field)[1]) == expected_pivots
+        free = [c for c in range(a.shape[1]) if c not in pivots]
+        basis = nullspace_codes(a, field)
+        assert basis.shape == (len(free), a.shape[1])
+        neg = code_arithmetic(field).neg
+        for k, fc in enumerate(free):
+            assert basis[k, fc] == 1 and not basis[k, [c for c in free if c != fc]].any()
+            assert basis[k, pivots].tolist() == [int(neg(v)) for v in expected_rows[:, fc]]
         assert np.array_equal(a, before)  # the caller's matrix is never written
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_inverse_matches_the_reference(field):
+    rng = np.random.default_rng(field.order % 997)
+    n, found = 6, 0
+    while found < 5:
+        a = rng.integers(0, field.order, (n, n)) * (rng.random((n, n)) < 0.6)
+        aug = np.hstack([a, np.eye(n, dtype=np.int64)])
+        rows, pivots = _per_pivot_rref(aug, field)
+        m = MatrixFq.from_rows(field, [[field.decode(int(c)) for c in row] for row in a])
+        if pivots[:n] != list(range(n)):
+            with pytest.raises(ValueError, match="not invertible"):
+                m.inverse()
+            continue
+        found += 1
+        inv = m.inverse()
+        assert [[field.encode(inv.entry(i, j)) for j in range(n)] for i in range(n)] \
+            == rows[:, n:].tolist()
+
+
+def _mixed_blocks(field, rng):
+    """Blocks of every kind: empty, 1 x 1, zero rows and columns, 1%-sparse, dense."""
+    blocks = [np.zeros((0, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+              np.zeros((0, 4), dtype=np.int64), np.array([[0]]), np.array([[1]]),
+              np.array([[field.order - 1]]), np.zeros((5, 7), dtype=np.int64)]
+    for (nr, nc), density in (((60, 50), 0.01), ((200, 120), 0.01), ((30, 30), 1.0),
+                              ((25, 40), 1.0), ((40, 25), 0.3), ((12, 12), 0.2)):
+        a = rng.integers(1, field.order, (nr, nc)) * (rng.random((nr, nc)) < density)
+        a[rng.integers(nr)] = 0
+        a[:, rng.integers(nc)] = 0
+        blocks.append(a)
+    blocks.append(np.repeat(blocks[-1], 3, axis=0))
+    order = rng.permutation(len(blocks))
+    return [blocks[i] for i in order]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_block_ranks_match_per_block_references(field):
+    rng = np.random.default_rng(field.order % 991)
+    dtype = code_arithmetic(field).dtype
+    blocks = _mixed_blocks(field, rng)
+    rows, cols, codes = [], [], []
+    row0 = col0 = 0
+    bounds = [0]
+    for a in blocks:
+        r, c = np.nonzero(a)
+        rows.append(r + row0)
+        cols.append(c + col0)
+        codes.append(a[r, c])
+        row0, col0 = row0 + a.shape[0], col0 + a.shape[1]
+        bounds.append(col0)
+    shuffle = rng.permutation(sum(map(len, rows)))  # entries in no particular order
+    rows = np.concatenate(rows)[shuffle].astype(np.int32)
+    cols = np.concatenate(cols)[shuffle].astype(np.int32)
+    codes = np.concatenate(codes)[shuffle].astype(dtype)
+    bounds = np.array(bounds)
+    args = [rows, cols, codes, bounds]
+    before = [x.copy() for x in args]
+    ranks = block_ranks(rows, cols, codes, bounds, field)
+    assert ranks == [len(_dense_echelon(a, field)[1]) if a.size else 0 for a in blocks]
+    assert ranks == [rank_codes(a, field) for a in blocks]
+    for x, y in zip(args, before):
+        assert np.array_equal(x, y)
 
 
 def test_kernel_degenerate_shapes():
@@ -427,10 +563,20 @@ def test_kernel_degenerate_shapes():
             rows, pivots = _rref_codes(np.array([[code]]), field)
             assert rows.tolist() == ([[1]] if code else []) and pivots == ([0] if code else [])
             assert rank_codes([[code]], field) == (1 if code else 0)
+        assert block_ranks(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                           np.zeros(0, dtype=np.int64), [0, 0, 3], field) == [0, 0]
+
+
+def test_entry_keys_must_fit_63_bits():
+    # GF(3037000493) codes take 32 bits, which leaves 31 for the row and column
+    field = make_field(3037000493)
+    CodeEntries(0, 2 ** 16, 2 ** 15, field)
+    with pytest.raises(CapExceeded, match="63-bit entry keys"):
+        CodeEntries(0, 2 ** 16 + 1, 2 ** 15, field)
 
 
 def test_code_dtype_is_the_narrowest_safe_one():
-    # a row update holds up to (p - 1)^2 + p - 1, which must fit the dtype
+    # a product of two codes plus a code must fit the dtype
     assert code_arithmetic(make_field(46337)).dtype == np.int32
     assert code_arithmetic(make_field(46349)).dtype == np.int64
     assert code_arithmetic(F4).dtype == np.int32
@@ -440,38 +586,63 @@ def test_code_dtype_is_the_narrowest_safe_one():
         assert (p - 1) ** 2 + p - 1 <= np.iinfo(dtype).max
 
 
-def test_residue_submul_at_the_int32_edge():
-    # the largest int32-coded prime, with factors and entries at p - 1
+def test_residue_arithmetic_at_the_int32_edge():
+    # the largest int32-coded prime, every operand at p - 1 or p - 2
     field = make_field(46337)
     codes = code_arithmetic(field)
     p = field.p
-    rows = np.full((2, 3), p - 1, dtype=codes.dtype)
-    pivots = np.array([[1, p - 1, p - 2]], dtype=codes.dtype)
-    codes.submul(rows, np.array([p - 1, 1], dtype=codes.dtype), pivots, np.array([0, 0]))
-    for f, row in zip((p - 1, 1), rows.tolist()):
-        assert row == [(p - 1 - f * v) % p for v in (1, p - 1, p - 2)]
+    a = np.array([p - 1, p - 1, 1, p - 2], dtype=codes.dtype)
+    b = np.array([p - 1, 1, p - 1, p - 2], dtype=codes.dtype)
+    assert codes.mul(a, b).tolist() == [x * y % p for x, y in zip(a.tolist(), b.tolist())]
+    assert codes.add(a, b).tolist() == [(x + y) % p for x, y in zip(a.tolist(), b.tolist())]
+    assert codes.neg(a).tolist() == [-x % p for x in a.tolist()]
+    assert (codes.mul(codes.inv(a), a) == 1).all()
 
 
 @pytest.mark.parametrize("field", [F5, F4, make_field(3037000493)], ids=str)
-@pytest.mark.parametrize("shape,density", [((1200, 300), 0.01), ((300, 300), 1.0)],
-                         ids=["tall-sparse", "dense-square"])
+@pytest.mark.parametrize("shape,density", [((1200, 300), 0.01), ((300, 300), 1.0),
+                                           ((20000, 1), 1.0)],
+                         ids=["tall-sparse", "dense-square", "one-entry-rows"])
 @pytest.mark.parametrize("eliminate", [rank_codes, nullspace_codes])
-def test_elimination_peak_within_the_matrix_budget(field, shape, density, eliminate):
-    # the matrix cap charges _ELIM_BYTES_PER_CELL a cell; the matrix itself,
-    # built in the code dtype as the fixed-space assembly builds it, counts
+def test_elimination_peak_within_the_matrix_budget(field, shape, density, eliminate,
+                                                   monkeypatch):
+    # every allocation is charged first: the tracemalloc peak of an
+    # elimination stays within the largest amount it charged the budget
     rng = np.random.default_rng(5)
     values = rng.integers(1, field.order, shape) * (rng.random(shape) < density)
     if shape[0] > shape[1]:
         values[::4] = 0  # rows no transvection term reaches
+    a = values.astype(code_arithmetic(field).dtype)
+    eliminate(a[:3], field)  # first calls import and cache what they need
+    charged = []
+    check = ff.check_budget
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(ff, "check_budget", record)
     tracemalloc.start()
     try:
-        a = np.zeros(shape, dtype=code_arithmetic(field).dtype)
-        a[...] = values
         eliminate(a, field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= a.size * _ELIM_BYTES_PER_CELL
+    assert peak <= max(charged)
+
+
+def test_elimination_charges_the_budget_before_it_allocates(monkeypatch):
+    a = np.eye(40, dtype=np.int64)
+    monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 0)
+    for eliminate in (rank_codes, nullspace_codes):
+        with pytest.raises(CapExceeded, match="eliminating a matrix of 40 entries"):
+            eliminate(a, F5)
+    # a dense matrix fits exactly, but its first round merges 39 new entries
+    # into each of 39 rows, and that fires mid-elimination
+    a = np.random.default_rng(3).integers(1, 5, (40, 40))
+    monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (1600 + 40) * ff._ENTRY_BYTES)
+    with pytest.raises(CapExceeded, match="eliminating with 3042 live and 40 pivot entries"):
+        rank_codes(a, F5)
 
 
 def test_kernel_size_exhaustive_extension_fields():

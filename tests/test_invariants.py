@@ -3,13 +3,14 @@
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobpow import invariants
+from frobpow import ff, invariants
 from frobpow.ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, make_field
 from frobpow.group import (
     GroupElement, GroupSpec, act, build_group, full_gl_generators, group_elements)
@@ -285,24 +286,17 @@ class TestDecomposition:
         assert all(type(c) is int for vecs in got for vec in vecs for c in vec.values())
 
     def test_stack_cap_fires_before_any_elimination(self, monkeypatch):
-        def no_elimination(*args):
-            raise AssertionError("eliminated before every shape was checked")
+        def no_elimination(self):
+            raise AssertionError("eliminated before the entries were charged")
 
-        # the degree-10 stack (3 + 1 rows, 28 cells) outgrows every A or B
-        # block (at most 27 cells)
+        # every vector is entered twice, alone and in the A + B stack, and
+        # every degree has three column blocks
         spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
-        buckets = _degree_buckets(spec.n, 9)
         a_vecs, b_vecs = _a_vectors(spec, m, 10 ** 6), _b_vectors(spec, m, 10 ** 6)
-        largest_block = max(len(v) * len(b) for vecs in (a_vecs, b_vecs)
-                            for v, b in zip(vecs, buckets))
-        rows, cols = max(((len(av) + len(bv), len(b))
-                          for av, bv, b in zip(a_vecs, b_vecs, buckets)),
-                         key=lambda s: s[0] * s[1])
-        assert largest_block < rows * cols
-        monkeypatch.setattr(invariants, "rank_codes", no_elimination)
-        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP",
-                            largest_block * invariants._ELIM_BYTES_PER_CELL)
-        with pytest.raises(CapExceeded, match=f"a {rows} x {cols} matrix needs"):
+        nnz = 2 * sum(len(vec) for vecs in (a_vecs, b_vecs) for vs in vecs for vec in vs)
+        monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 3 * 81) * ff._ENTRY_BYTES - 1)
+        with pytest.raises(CapExceeded, match=f"eliminating a matrix of {nnz} entries"):
             verify_decomposition(spec, m)
 
     def test_b_membership_in_fixed_space(self):
@@ -483,17 +477,50 @@ class TestIntegerCodeAssembly:
                 _split_generators([g], 9)
 
     def test_matrix_cap_fires_before_elimination(self, monkeypatch):
-        def no_elimination(*args):
+        def no_elimination(self):
             raise AssertionError("eliminated past the matrix cap")
 
-        monkeypatch.setattr(invariants, "rank_codes", no_elimination)
+        monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
         invariants._brute_dims.cache_clear()
-        # passes the default monomial cap (27^4 = 531441) but its largest
-        # stacked matrix is about 39k x 6.6k cells
-        with pytest.raises(CapExceeded, match="MiB to eliminate"):
+        # passes the default monomial cap (27^4 = 531441); its 6965595
+        # transvection terms are counted and charged before any is built
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 256 * 2 ** 20)
+        with pytest.raises(CapExceeded, match="eliminating a matrix of 6965595 entries"):
             brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3)
-        monkeypatch.setattr(invariants, "MATRIX_BYTE_CAP", 100)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 100)
         with pytest.raises(CapExceeded, match="above the budget of 0 MiB"):
             verify_decomposition(GroupSpec(p=3, n=2, ell=1, e=2), 2)
-        with pytest.raises(CapExceeded, match="matrix needs"):
+        with pytest.raises(CapExceeded, match="needs 0 MiB"):
             brute_force_hilbert(GroupSpec(p=2, n=3, ell=1, e=1), 2)
+
+    def test_fixed_space_peak_within_the_charge(self, monkeypatch):
+        # building the entries and eliminating them stay within the most
+        # that was charged to the budget
+        spec, m = GroupSpec(p=3, n=3, ell=2, e=2), 2
+        gens = build_group(spec)
+        Q = spec.q ** m
+        invariants._fixed_space(gens, spec.field, spec.n, Q)  # fill the caches
+        charged = []
+        check = ff.check_budget
+
+        def record(nbytes, what):
+            charged.append(nbytes)
+            check(nbytes, what)
+
+        monkeypatch.setattr(ff, "check_budget", record)
+        tracemalloc.start()
+        try:
+            invariants._fixed_space(gens, spec.field, spec.n, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged)
+
+    def test_degree_buckets_are_charged_before_they_exist(self, monkeypatch):
+        # 46337^2 monomials would take 16 GiB of exponents
+        def no_grid(*args, **kwargs):
+            raise AssertionError("allocated before the budget was checked")
+
+        monkeypatch.setattr(invariants.np, "indices", no_grid)
+        with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
+            _degree_buckets(2, 46337)
