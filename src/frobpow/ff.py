@@ -12,7 +12,11 @@ equality.  :class:`MatrixFq` is dense.  Heavy loops run on integer codes (see
 place that picks residues mod p (r = 1) or lookup tables (r > 1), and the
 code dtype: int32 while (p - 1)^2 + p fits in it (primes up to 46337), else
 int64.  Residue products must fit in an int64, so prime fields, and the
-prime of an extension field, need p <= 3037000500.
+prime of an extension field, need p <= 3037000500.  The lookup tables are
+built with numpy from one source, the field's discrete-log table
+(:func:`discrete_logs`, q - 1 element products): a product is exp[log a +
+log b] and an inverse exp[-log a], while sums and negatives go digit by
+digit over the codes' base-p digits.
 
 Elimination is one sparse round-based kernel on :class:`CodeEntries`, a
 matrix's nonzero entries packed one int64 key each: the simultaneous
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TABLE_LIMIT = 4096  # largest field order for which lookup tables are built
 _MAX_CODE_PRIME = math.isqrt(2 ** 63 - 1) + 1  # largest p with (p - 1)^2 in an int64
 
 
@@ -559,29 +562,60 @@ def _codes_matrix(m):
     ).reshape(m.rows, m.cols)
 
 
+def _code_dtype(p):
+    """int32 while a product of two residues plus a residue fits in it, else int64."""
+    return np.dtype(np.int32 if (p - 1) ** 2 + p <= np.iinfo(np.int32).max else np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def discrete_logs(field):
+    """(exp, log): exp[k] is the code of g^k, k < q - 1, and log[c] the k with
+    exp[k] = c for nonzero codes c (log[0] = 0), both in the code dtype, where
+    g = root_of_unity(field, q - 1).  Read-only; costs q - 1 element products."""
+    q, dtype = field.order, _code_dtype(field.p)
+    check_budget((2 * dtype.itemsize + 8) * q, f"the discrete logs of GF({q})")
+    root, x = root_of_unity(field, q - 1), field.one()
+    exp = np.empty(q - 1, dtype=dtype)
+    for k in range(q - 1):
+        exp[k] = field.encode(x)
+        x = x * root
+    log = np.zeros(q, dtype=dtype)
+    log[exp] = np.arange(q - 1)
+    exp.flags.writeable = log.flags.writeable = False
+    return exp, log
+
+
 @functools.lru_cache(maxsize=None)
 def _tables(field):
-    """(add, mul, neg, inv) lookup tables over integer codes, for r > 1 fields."""
-    q = field.order
-    if q > _TABLE_LIMIT:
-        raise CapExceeded(f"field GF({q}) too large for table arithmetic (limit {_TABLE_LIMIT})")
-    elems = list(field.elements())
-    add = np.zeros((q, q), dtype=np.int64)
-    mul = np.zeros((q, q), dtype=np.int64)
-    neg = np.zeros(q, dtype=np.int64)
-    inv = np.zeros(q, dtype=np.int64)
-    enc = field.encode
-    for i, a in enumerate(elems):
-        neg[i] = enc(-a)
-        if a:
-            inv[i] = enc(a.inverse())
-        for j, b in enumerate(elems[: i + 1]):
-            s = enc(a + b)
-            m = enc(a * b)
-            add[i, j] = add[j, i] = s
-            mul[i, j] = mul[j, i] = m
-    return add, mul, neg, inv
+    """(add, mul, neg, inv) lookup tables over integer codes, for r > 1 fields.
 
+    Built in the code dtype from :func:`discrete_logs`, with one q x q pass
+    per base-p digit for the sums.  The two tables, one q x q temporary, a
+    few vectors and the 64 KiB buffer of numpy's gather are charged against
+    MATRIX_BYTE_CAP first.
+    """
+    q, p = field.order, field.p
+    dtype = _code_dtype(p)
+    check_budget((3 * q + 16) * q * dtype.itemsize + 2 ** 17, f"tabulating GF({q})")
+    exp, log = discrete_logs(field)
+    codes = np.arange(q, dtype=dtype)
+    add, tmp = np.zeros((q, q), dtype=dtype), np.empty((q, q), dtype=dtype)
+    neg = np.zeros(q, dtype=dtype)
+    for i in range(field.r):
+        digit = codes // p ** i % p
+        np.add(digit[:, None], digit[None, :], out=tmp)
+        tmp %= p
+        tmp *= p ** i
+        add += tmp
+        neg += -digit % p * p ** i
+    np.add(log[:, None], log[None, :], out=tmp)
+    tmp %= q - 1
+    mul = exp[tmp]  # np.take would first copy int32 indices to intp
+    del tmp
+    mul[0, :] = mul[:, 0] = 0
+    inv = exp[-log % (q - 1)]
+    inv[0] = 0
+    return add, mul, neg, inv
 
 
 # Elementwise code arithmetic of one field, on ints and code arrays alike.
@@ -598,9 +632,9 @@ def code_arithmetic(field):
 
     ValueError when a product of two residues would overflow an int64.
     """
-    dtype = np.int32 if (field.p - 1) ** 2 + field.p <= np.iinfo(np.int32).max else np.int64
+    dtype = _code_dtype(field.p)
     if field.r > 1:
-        add, mul, neg, inv = (t.astype(dtype) for t in _tables(field))
+        add, mul, neg, inv = _tables(field)
         return CodeArithmetic(
             reduce=lambda a: a,  # table codes are canonical by construction
             add=lambda a, b: add[a, b], mul=lambda a, b: mul[a, b],
@@ -637,7 +671,7 @@ def code_arithmetic(field):
 
 # -- sparse elimination -----------------------------------------------------
 
-MATRIX_BYTE_CAP = 512 * 2 ** 20  # memory budget of one elimination or monomial table
+MATRIX_BYTE_CAP = 512 * 2 ** 20  # memory budget of one elimination, monomial list or table set
 # What elimination holds at its peak per stored entry: the key, the merged
 # copy of a round, the sort buffer and the gathered pivot tails, or, in the
 # pivot search, the row starts, lengths and leading columns.  Matrices of

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import CapExceeded, CodeEntries, MatrixFq, binom_mod_p, check_budget, code_arithmetic, \
-    factor_prime_power, make_field, root_of_unity
+    discrete_logs, factor_prime_power, make_field
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
@@ -223,17 +223,6 @@ def _codes(exps, Q):
     return exps @ Q ** np.arange(exps.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=None)
-def _discrete_logs(field):
-    """Nonzero element -> its logarithm to the base of the first primitive root."""
-    root = root_of_unity(field, field.order - 1)
-    logs, x = {}, field.one()
-    for k in range(field.order - 1):
-        logs[x] = k
-        x = x * root
-    return logs
-
-
 def _code_powers(c, field, count):
     """Codes of c^0, ..., c^(count - 1) for the element with code c."""
     powers = np.ones(count, dtype=np.int64)
@@ -276,8 +265,8 @@ def _split_generators(gens, Q):
         off = [(i, j) for i in range(mat.rows) for j in range(mat.cols)
                if i != j and mat.entry(i, j)]
         if not off:
-            table = _discrete_logs(mat.field)
-            logs.append(np.array([table[d] for d in diag], dtype=np.int64))
+            log = discrete_logs(mat.field)[1]
+            logs.append(log[[mat.field.encode(d) for d in diag]].astype(np.int64))
         elif len(off) == 1 and all(d == 1 for d in diag):
             (k, l), = off
             c = mat.field.encode(-mat.entry(k, l))
@@ -353,8 +342,8 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
     The dims come from one elimination of every degree's stack at once, the
     basis from one nullspace per degree.
     """
+    buckets = _degree_buckets(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
-    buckets = _degree_buckets(n, Q)
     degrees = [(bucket, bucket[_fixed_by_diagonals(bucket, logs, field.order - 1)])
                for bucket in buckets]
     widths = [len(cols) for _, cols in degrees]

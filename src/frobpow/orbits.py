@@ -2,9 +2,10 @@
 
 The group acts coordinate-wise on the points of V' = (F_{q^m})^n once its
 matrix entries are embedded into the extension field.  We enumerate all
-q^{mn} points, merge them with a union-find under the generator moves, and
-read off the orbit count and the orbit-size histogram.  For the groups
-built from a GroupSpec the count has a closed form,
+q^{mn} points, label each with the least point of its orbit by min-label
+propagation along the generator moves, and read off the orbit count and
+the orbit-size histogram.  For the groups built from a GroupSpec the count
+has a closed form,
 
     q^{m(n-1)} + q^{m(n-1)} (q^m - 1) / |G|,
 
@@ -14,17 +15,19 @@ report records whether they hold.
 
 Points are indexed densely: a coordinate is the integer code of a field
 element and a point is the mixed-radix word of its coordinate codes, so
-the union-find runs over plain integer arrays.
+generator images are computed with ff.code_arithmetic on whole arrays and
+the labels are plain integer arrays.  Labels converge by the min-label
+hooking and pointer jumping of Shiloach and Vishkin, "An O(log n) parallel
+connectivity algorithm", J. Algorithms 1982.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 
-from .ff import CapExceeded, embed, make_field
+from .ff import CapExceeded, check_budget, code_arithmetic, embed, make_field
 from .group import build_group
 
 DEFAULT_POINT_CAP = 10**6
@@ -67,33 +70,6 @@ class OrbitReport:
         }
 
 
-class _UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x, y):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
-
-    def component_sizes(self):
-        return [self.size[i] for i in range(len(self.parent)) if self.find(i) == i]
-
-
 def closed_form_orbit_count(spec, m):
     """q^{m(n-1)} + q^{m(n-1)}(q^m - 1)/|G| for any spec-built group."""
     if m < 1:
@@ -105,72 +81,54 @@ def closed_form_orbit_count(spec, m):
     return fixed + moving
 
 
-def _code_add(a, b, p, digits):
-    """Field addition on integer codes: digit-wise mod p in base p."""
-    out = np.zeros_like(a)
-    scale = 1
-    for _ in range(digits):
-        out += ((a % p + b % p) % p) * scale
-        a = a // p
-        b = b // p
-        scale *= p
-    return out
+def _generator_images(mat, big, coords):
+    """Index array of g applied to every point, from coordinate code arrays.
 
-
-def _entry_tables(mat, big):
-    """Per-entry code maps c -> code(entry * decode(c)), None for zeros."""
-    order = big.order
-    src = mat.field
-    identity = np.arange(order, dtype=np.int64)
-    tables = []
-    for i in range(mat.rows):
-        row = []
-        for j in range(mat.cols):
-            ent = embed(src, big, mat.entry(i, j))
-            if not ent:
-                row.append(None)
-            elif ent == big.one():
-                row.append(identity)
-            else:
-                row.append(
-                    np.array(
-                        [big.encode(ent * big.decode(c)) for c in range(order)],
-                        dtype=np.int64,
-                    )
-                )
-        tables.append(row)
-    return tables
-
-
-def _generator_images(mat, big, coords, radix):
-    """Index array of g applied to every point, from coordinate code arrays."""
-    n = mat.rows
-    tables = _entry_tables(mat, big)
+    Coordinate i of g x is the sum over j of g_ij x_j, in the code arithmetic
+    of the big field; the index is then assembled by Horner's rule.
+    """
+    codes = code_arithmetic(big)
     images = np.zeros_like(coords[0])
-    for i in range(n):
+    for i in reversed(range(mat.rows)):
         acc = None
-        for j in range(n):
-            table = tables[i][j]
-            if table is None:
-                continue
-            term = table[coords[j]]
-            acc = term if acc is None else _code_add(acc, term, big.p, big.r)
+        for j in range(mat.cols):
+            entry = big.encode(embed(mat.field, big, mat.entry(i, j)))
+            if entry:
+                term = codes.mul(entry, coords[j])
+                acc = term if acc is None else codes.add(acc, term)
+        images *= big.order
         if acc is not None:
-            images = images + acc * radix**i
+            images += acc
     return images
 
 
 def _enumerate_orbits(mats, big, n, total):
-    radix = big.order
-    idx = np.arange(total, dtype=np.int64)
-    coords = [(idx // radix**j) % radix for j in range(n)]
-    uf = _UnionFind(total)
-    for mat in mats:
-        images = _generator_images(mat, big, coords, radix)
-        for point in range(total):
-            uf.union(point, int(images[point]))
-    sizes = Counter(uf.component_sizes())
-    return tuple(sorted(sizes.items()))
+    """Orbit-size histogram of the group generated by mats on all total points.
+
+    Every point is labelled by the least point of its orbit: each round a
+    label becomes the least among itself and the labels of the point's
+    images, the least label also moves back along every generator edge, and
+    every label takes the label of its label (pointer jumping).  The per-point
+    arrays, the index, n coordinates, an image per generator, the labels and
+    a round's temporaries, are charged before the first one exists.
+    """
+    check_budget(total * 8 * (n + len(mats) + 5), f"enumerating the orbits of {total} points")
+    label = np.arange(total, dtype=np.int64)
+    coords = [label // big.order ** j % big.order for j in range(n)]
+    images = [_generator_images(mat, big, coords) for mat in mats]
+    del coords
+    while True:
+        new = label.copy()
+        for image in images:
+            np.minimum(new, label[image], out=new)
+            np.minimum.at(new, image, label)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label)
+    sizes, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    return tuple(zip(sizes.tolist(), counts.tolist()))
 
 
 def _check_point_cap(total, cap):

@@ -339,6 +339,16 @@ class TestOrbits:
         assert code == 3
         assert "above the cap" in capsys.readouterr().err
 
+    def test_points_past_the_budget_exit_3(self, capsys):
+        # the point cap lets p^2 = 9223371994482243049 points through, but
+        # their arrays are charged to the budget before any is allocated
+        code = main(["orbits", "--p", "3037000493", "--n", "2", "--m", "1", "--ell", "0",
+                     "--e", "1", "--max-points", "10000000000000000000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "enumerating the orbits of 9223371994482243049 points needs" in err
+
 
 class TestResolution2D:
     def test_nonmodular_example(self, capsys):

@@ -1,7 +1,8 @@
 """Field arithmetic, sparse elimination, and Lucas binomials.
 
 Oracles: an in-test exhaustive irreducibility scan (trial division by all
-lower-degree monic polynomials), integer powering for element orders, sympy's
+lower-degree monic polynomials), integer powering for element orders, one
+FieldElem operation per cell for the lookup tables, sympy's
 DomainMatrix over GF(p) for ranks, a per-pivot RREF loop and the earlier
 dense round-based echelon kernel for the sparse kernel, math.comb for
 binomials, and exhaustive kernel counting over tiny extension fields.
@@ -822,3 +823,68 @@ def test_encode_decode_roundtrip():
 def test_table_cap():
     with pytest.raises(CapExceeded):
         _tables(make_field(2, 13))
+
+
+def _reference_tables(field):
+    """(add, mul, neg, inv) over codes, one FieldElem operation per cell."""
+    q = field.order
+    elems = list(field.elements())
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    neg = np.zeros(q, dtype=np.int64)
+    inv = np.zeros(q, dtype=np.int64)
+    enc = field.encode
+    for i, a in enumerate(elems):
+        neg[i] = enc(-a)
+        if a:
+            inv[i] = enc(a.inverse())
+        for j, b in enumerate(elems[: i + 1]):
+            add[i, j] = add[j, i] = enc(a + b)
+            mul[i, j] = mul[j, i] = enc(a * b)
+    return add, mul, neg, inv
+
+
+TABLE_FIELDS = [make_field(p, r) for p, r in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                                              (2, 5), (7, 2), (2, 6), (3, 4), (11, 2), (5, 3)]]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=str)
+def test_tables_match_the_reference(field):
+    for table, reference in zip(_tables(field), _reference_tables(field)):
+        assert table.dtype == code_arithmetic(field).dtype
+        assert np.array_equal(table, reference)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS + [F3, F7, make_field(101)], ids=str)
+def test_discrete_logs(field):
+    exp, log = ff.discrete_logs(field)
+    nonzero = np.arange(1, field.order)
+    assert sorted(exp.tolist()) == nonzero.tolist()
+    assert np.array_equal(exp[log[nonzero]], nonzero)
+    assert exp[1] == field.encode(root_of_unity(field, field.order - 1))
+
+
+def test_discrete_logs_are_charged_before_they_exist():
+    # 3037000492 logs would take hours of element products and 66 GiB
+    with pytest.raises(CapExceeded, match=r"the discrete logs of GF\(3037000493\) needs"):
+        ff.discrete_logs(make_field(3037000493))
+
+
+@pytest.mark.parametrize("field", [make_field(2, 10), make_field(3, 6)], ids=str)
+def test_table_peak_within_the_charge(field, monkeypatch):
+    ff.discrete_logs(field)  # the first call builds it inside the charge too
+    charged = []
+    check = ff.check_budget
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        check(nbytes, what)
+
+    monkeypatch.setattr(ff, "check_budget", record)
+    tracemalloc.start()
+    try:
+        _tables.__wrapped__(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charged)

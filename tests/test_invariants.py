@@ -516,6 +516,16 @@ class TestIntegerCodeAssembly:
             tracemalloc.stop()
         assert peak <= max(charged)
 
+    def test_monomial_budget_fires_before_the_discrete_logs(self, monkeypatch):
+        # the 46336 logs of GF(46337) are element products; the budget needs none
+        def no_logs(field):
+            raise AssertionError("discrete logs computed before the budget was checked")
+
+        monkeypatch.setattr(invariants, "discrete_logs", no_logs)
+        spec = GroupSpec(p=46337, n=2, ell=1, e=46336)
+        with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
+            brute_force_hilbert(spec, 1, max_monomials=3 * 10 ** 9)
+
     def test_degree_buckets_are_charged_before_they_exist(self, monkeypatch):
         # 46337^2 monomials would take 16 GiB of exponents
         def no_grid(*args, **kwargs):

@@ -1,8 +1,14 @@
-"""Orbit enumeration against closed-form counts and fixed-space dimensions."""
+"""Orbit enumeration against closed-form counts, fixed-space dimensions and
+a breadth-first search over field elements."""
+
+import itertools
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from frobpow.ff import CapExceeded, factor_prime_power, make_field
+from frobpow import ff, orbits
+from frobpow.ff import CapExceeded, MatrixFq, embed, factor_prime_power, make_field
 from frobpow.group import GroupSpec, build_group, full_gl_generators
 from frobpow.invariants import brute_force_hilbert, full_gl_fixed_basis
 from frobpow.orbits import (
@@ -25,6 +31,41 @@ SMALL_SPECS = [
     GroupSpec(p=3, r=1, n=2, full_stabilizer=True),
     GroupSpec(p=2, r=1, n=3, full_stabilizer=True),
 ]
+
+
+# the companion matrix of x^4 + x + 1 over GF(2): a Singer cycle of order 15
+SINGER = MatrixFq.from_rows(make_field(2), [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0],
+                                            [0, 0, 1, 0]])
+
+
+def _bfs_histogram(mats, m):
+    """Orbit-size histogram by breadth-first search over field elements.
+
+    The matrices are embedded entry by entry into GF(q^m) and applied with
+    MatrixFq.apply; no code arithmetic is involved.
+    """
+    base, n = mats[0].field, mats[0].rows
+    big = make_field(base.p, base.r * m)
+    moves = [MatrixFq(big, n, n, tuple(embed(base, big, x) for x in mat.entries))
+             for mat in mats]
+    seen, sizes = set(), Counter()
+    for start in itertools.product(list(big.elements()), repeat=n):
+        if start in seen:
+            continue
+        seen.add(start)
+        frontier, size = [start], 0
+        while frontier:
+            size += len(frontier)
+            reached = []
+            for point in frontier:
+                for move in moves:
+                    image = move.apply(point)
+                    if image not in seen:
+                        seen.add(image)
+                        reached.append(image)
+            frontier = reached
+        sizes[size] += 1
+    return tuple(sorted(sizes.items()))
 
 
 class TestClosedForm:
@@ -218,3 +259,64 @@ class TestCustom:
         gens = full_gl_generators(make_field(3), 2)
         with pytest.raises(CapExceeded, match="needs 81 points"):
             count_orbits_custom(gens, 2, max_points=80)
+
+
+class TestAgainstSearch:
+    @pytest.mark.parametrize("spec,m", [(spec, m) for spec in SMALL_SPECS for m in (1, 2)
+                                        if spec.q ** (m * spec.n) <= 5000], ids=str)
+    def test_spec_groups(self, spec, m):
+        mats = [g.mat for g in build_group(spec)]
+        assert count_orbits_custom(mats, m).histogram == _bfs_histogram(mats, m)
+
+    @pytest.mark.parametrize("q,n,m", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
+    def test_full_gl(self, q, n, m):
+        mats = [g.mat for g in full_gl_generators(make_field(*factor_prime_power(q)), n)]
+        assert count_orbits_custom(mats, m).histogram == _bfs_histogram(mats, m)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_singer_cycle(self, m):
+        # orbits of length 15 and its divisors: labels travel far along one cycle
+        report = count_orbits_custom([SINGER], m)
+        assert report.histogram == _bfs_histogram([SINGER], m)
+        if m == 1:
+            assert report.histogram == ((1, 1), (15, 1))
+
+
+class TestBudget:
+    def _charges(self, monkeypatch):
+        charged = []
+        check = orbits.check_budget
+
+        def record(nbytes, what):
+            charged.append(nbytes)
+            check(nbytes, what)
+
+        monkeypatch.setattr(orbits, "check_budget", record)
+        return charged
+
+    def test_points_are_charged_before_they_exist(self, monkeypatch):
+        charged = self._charges(monkeypatch)
+        count_orbits_enum(ARCHETYPE, 1)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", charged[-1] - 1)
+
+        def no_images(*args):
+            raise AssertionError("allocated before the budget was checked")
+
+        monkeypatch.setattr(orbits, "_generator_images", no_images)
+        with pytest.raises(CapExceeded, match="enumerating the orbits of 125 points needs"):
+            count_orbits_enum(ARCHETYPE, 1)
+
+    @pytest.mark.parametrize("spec,m", [
+        (ARCHETYPE, 2), (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 2),
+        (GroupSpec(p=3, n=2, ell=0, e=1), 4), (GroupSpec(p=2, n=2, ell=1, e=1), 6),
+    ], ids=str)
+    def test_enumeration_peak_within_the_charge(self, spec, m, monkeypatch):
+        count_orbits_enum(spec, m)  # fill the caches: fields, tables, groups
+        charged = self._charges(monkeypatch)
+        tracemalloc.start()
+        try:
+            count_orbits_enum(spec, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged)
