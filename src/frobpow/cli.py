@@ -84,6 +84,13 @@ def _require_closed_form(spec):
         raise ValueError("no closed-form series for this group; use --mode brute")
 
 
+def _check_series_length(n, Q, cap):
+    """CapExceeded when a series through degree n(Q - 1) passes the monomial cap."""
+    length = n * (Q - 1) + 1
+    if length > cap:
+        raise CapExceeded(f"the series needs {length} coefficients, above the cap of {cap}")
+
+
 def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table.
 
@@ -111,10 +118,7 @@ def cmd_hilbert(args):
     if args.mode == "formula":
         # pretty output shows the whole series, the JSON and CSV the window
         _require_closed_form(spec)
-        length = spec.n * (spec.q ** args.m - 1) + 1
-        if length > args.max_monomials:
-            raise CapExceeded(f"the series needs {length} coefficients, "
-                              f"above the cap of {args.max_monomials}")
+        _check_series_length(spec.n, spec.q ** args.m, args.max_monomials)
         formula = hilbert_for_spec(spec, args.m)
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
@@ -225,10 +229,13 @@ def cmd_resolution2d(args):
 def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """(series, brute dims, match) for the conjectured full-GL series.
 
-    Brute force runs only where it is feasible (q <= 3, n <= 2, m <= 2), and
+    The series length n(q^m - 1) + 1 is capped by max_monomials.  Brute
+    force runs only where it is feasible (q <= 3, n <= 2, m <= 2), and
     elsewhere dims and match are None.  match compares every degree through
     truncate, by default through the last degree of either side.
     """
+    factor_prime_power(q)  # an invalid q exits 2 before any cap
+    _check_series_length(n, q ** m, max_monomials)
     series = lrs_conjecture(q, n, m)
     if not (q <= 3 and n <= 2 and m <= 2):
         return series, None, None

@@ -16,21 +16,23 @@ element objects per monomial:
   degree is a column block of one sparse matrix, and a single elimination
   ranks every block; any other kind of generator is rejected.
 
-The A/B decomposition runs on integer codes too: every coefficient of its
-spanning vectors lies in the prime subfield, so a residue mod p is its own
-code, and each degree's A, B and stacked A + B rows are three column blocks
-of one elimination.
+The A/B decomposition is built as entry arrays too.  Every coefficient
+lies in the prime subfield, so a residue mod p is its own code.  A is
+spanned by the f-monomials' expansions, listed from a numpy grid of
+f-exponents and expanded one binomial f_i at a time into terms (vector,
+exponents, code); B by single monomials, a mask over each degree bucket.
+Each degree's A, B and stacked A + B rows are three column blocks of one
+elimination.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
-enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them and of
-every elimination, whose entries are counted and charged before any is
-built.
+enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them, of every
+step of the A expansion and of every elimination, whose terms and entries
+are counted and charged before any is built.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -397,118 +399,101 @@ def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 
 # -- the A/B decomposition --------------------------------------------------
 
-def _binomial_power_terms(b, w, Q, p):
-    """Terms of (x_var^w - x_var x_n^{w-1})^b with the var exponent below Q."""
-    out = []
-    for j in range(b + 1):
-        c = binom_mod_p(b, j, p)
-        if not c:
-            continue
-        evar = w * j + (b - j)
-        if evar >= Q:
-            continue
-        if (b - j) % 2:
-            c = p - c
-        out.append((evar, (w - 1) * (b - j), c))
-    return out
+def _term_charge(live, total, n, what):
+    """check_budget for building total expansion terms while live ones exist.
+
+    A term holds its exponent row, vector number and code, 8 bytes each; a
+    step's gathers, picks, binomials and masks take about as much again
+    per new term.
+    """
+    check_budget(8 * ((n + 2) * live + (2 * n + 12) * total), what)
 
 
-def _wexp_vectors(weights, bound, caps):
-    """Exponent tuples b with b_i < caps_i and weighted degree <= bound, in lex order."""
-    if not weights:
-        yield ()
-        return
-    w = weights[0]
-    for head in range(min(bound // w + 1, caps[0])):
-        for tail in _wexp_vectors(weights[1:], bound - w * head, caps[1:]):
-            yield (head,) + tail
+def _a_terms(spec, Q):
+    """The reduced expansions of all f-monomials, as terms (vector, exponents, codes).
 
-
-def _vector_setup(spec, m, cap):
-    """(Q, basic-invariant weights, top degree D, empty per-degree lists)."""
-    Q = spec.q ** m
-    _check_cap(Q, spec.n, cap)
-    D = spec.n * (Q - 1)
-    return Q, basic_invariants(spec).weights, D, [[] for _ in range(D + 1)]
-
-
-def _a_vectors(spec, m, cap):
-    """Reduced expansions of f-monomials, grouped by degree, as {exponents: code}.
-
+    vector numbers the f-monomial b in its grid, in lex order; exponents is
+    a term's monomial of S/m^[Q] and codes its nonzero coefficient mod p.
     The first ell basic invariants are the binomials x_i^q - x_i x_n^(q-1),
-    the next ones the bare variables, the last a power of x_n.  An expansion
-    term picks one term of each binomial power; the exponent of x_i grows
-    with the pick, so distinct picks are distinct monomials and none cancel.
+    the next ones the bare variables, the last x_n^e.  f_i^(b_i) has the
+    terms (-1)^(b_i - j) C(b_i, j) x_i^(b_i + (q-1) j) x_n^((q-1)(b_i - j)),
+    whose two exponents add up to q b_i and lie below Q, so b_i <= 2(Q-1)/q.
+    The terms start as the grid itself; each binomial in turn replaces every
+    term by its picks j that keep x_i and x_n below Q.  The x_i exponent
+    grows with j, so distinct picks are distinct monomials and none cancel.
+    Every step's terms are charged before they are built.
     """
-    Q, weights, D, by_degree = _vector_setup(spec, m, cap)
-    n, ell, p = spec.n, spec.ell, spec.p
-    # every term is divisible by x_i^(b_i), i < n - 1, and by x_n^(b_n e)
-    caps = (Q,) * (n - 1) + ((Q - 1) // weights[n - 1] + 1,)
-    for bvec in _wexp_vectors(weights, D, caps):
-        bare = bvec[ell:n - 1]
-        pieces = [_binomial_power_terms(b, spec.q, Q, p) for b in bvec[:ell]]
-        xn = bvec[n - 1] * weights[n - 1]
-        vec = {}
-        for pick in itertools.product(*pieces):
-            top = xn + sum(en for _, en, _ in pick)
-            if top < Q:
-                mono = tuple(evar for evar, _, _ in pick) + bare + (top,)
-                vec[mono] = math.prod(c for _, _, c in pick) % p
-        if vec:
-            by_degree[sum(w * b for w, b in zip(weights, bvec))].append(vec)
-    return by_degree
+    n, ell, q, p = spec.n, spec.ell, spec.q, spec.p
+    caps = (2 * (Q - 1) // q + 1,) * ell + (Q,) * (n - 1 - ell) + ((Q - 1) // spec.e + 1,)
+    size = math.prod(caps)
+    _term_charge(0, size, n, f"listing {size} f-monomials")
+    exps = np.indices(caps).reshape(n, -1).T
+    exps[:, n - 1] *= spec.e
+    vector, codes = np.arange(size), np.ones(size, dtype=np.int64)
+    for i in range(ell):
+        b, top = exps[:, i], exps[:, n - 1]
+        lo = np.maximum(b - (Q - 1 - top) // (q - 1), 0)
+        counts = np.maximum(np.minimum(b, (Q - 1 - b) // (q - 1)) - lo + 1, 0)
+        total = int(counts.sum())
+        _term_charge(len(vector), total, n, f"expanding the f-monomials into {total} terms")
+        term = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        bt = b[term]
+        coef = _binomials(bt, j, p)
+        coef[(bt - j) % 2 == 1] *= -1
+        nz = coef != 0
+        term, j = term[nz], j[nz]
+        vector, codes, exps = vector[term], codes[term] * coef[nz] % p, exps[term]
+        exps[:, n - 1] += (q - 1) * (exps[:, i] - j)
+        exps[:, i] += (q - 1) * j
+    return vector, exps, codes
 
 
-def _b_vectors(spec, m, cap):
-    """Reduced spanning elements of the complement module, grouped by degree.
+def _b_mask(bucket, spec, Q):
+    """Which monomials of a degree bucket span the complement module B.
 
-    Multiplying by a basic invariant f_i, i < n, contributes only its pure
-    power term x_i^(deg f_i): any x_n contribution pushes past x_n^(Q-1).
+    B is spanned by x^a x_n^(Q-1), a_i < q for i < ell and sum a_i >= 2,
+    times products of f_1..f_(n-1), of which only the pure power terms
+    x_i^(deg f_i) survive: any x_n in them pushes past x_n^(Q-1).  Every
+    exponent below Q splits uniquely as q b_i + a_i, so these products are
+    the monomials x^c x_n^(Q-1) with sum over i < ell of (c_i mod q) >= 2,
+    each once.
     """
-    Q, weights, D, by_degree = _vector_setup(spec, m, cap)
-    n, ell = spec.n, spec.ell
-    heads = [a for a in itertools.product(range(spec.q), repeat=ell) if sum(a) >= 2]
-    fweights = weights[: n - 1]
-    for avec in heads:
-        base_deg = sum(avec) + Q - 1
-        pad = avec + (0,) * (n - 1 - ell)
-        caps = [(Q - 1 - ai) // wi + 1 for wi, ai in zip(fweights, pad)]  # w b + a < Q
-        for bvec in _wexp_vectors(fweights, D - base_deg, caps):
-            full = tuple(wi * bi + ai for wi, bi, ai in zip(fweights, bvec, pad))
-            by_degree[sum(full) + Q - 1].append({full + (Q - 1,): 1})
-    return by_degree
-
-
-def _ab_entries(vecs, bucket, Q):
-    """One degree's vectors as entries (rows, cols, codes); columns follow the bucket."""
-    rows = np.repeat(np.arange(len(vecs)), [len(vec) for vec in vecs])
-    monos = np.array([mono for vec in vecs for mono in vec], dtype=np.int64)
-    cols = np.searchsorted(_codes(bucket, Q), _codes(monos, Q))
-    return rows, cols, np.array([c for vec in vecs for c in vec.values()], dtype=np.int64)
+    return (bucket[:, -1] == Q - 1) & ((bucket[:, :spec.ell] % spec.q).sum(axis=1) >= 2)
 
 
 def _ab_ranks(spec, m, cap):
     """Per-degree (rank A, rank B, rank of A stacked on B).
 
     Every degree's A, B and stacked rows are column blocks of one
-    elimination; their entries, each vector twice, are charged before any
-    is built.
+    elimination.  The A rows are the f-monomials' expansions, numbered in
+    grid order; the B rows, one masked monomial each, follow them, and both
+    come again for the stacked blocks, A before B.  The entries, each term
+    twice, are charged before any is built, and the expansion is freed
+    before the elimination.
     """
-    Q = spec.q ** m
-    a_vecs, b_vecs = _a_vectors(spec, m, cap), _b_vectors(spec, m, cap)
-    buckets = _degree_buckets(spec.n, Q)
-    vecs = [av + bv for av, bv in zip(a_vecs, b_vecs)]
-    entries = CodeEntries(2 * sum(len(vec) for vs in vecs for vec in vs),
-                          2 * sum(map(len, vecs)), 3 * Q ** spec.n, spec.field)
-    row0 = col0 = 0
-    for av, both, bucket in zip(a_vecs, vecs, buckets):
-        if both:
-            rows, cols, codes = _ab_entries(both, bucket, Q)
-            alone = np.where(rows < len(av), col0, col0 + len(bucket))
-            entries.add(rows + row0, cols + alone, codes)
-            entries.add(rows + row0 + len(both), cols + col0 + 2 * len(bucket), codes)
-            row0 += 2 * len(both)
-        col0 += 3 * len(bucket)
+    n, Q = spec.n, spec.q ** m
+    _check_cap(Q, n, cap)
+    buckets = _degree_buckets(n, Q)
+    b_cols = [np.flatnonzero(_b_mask(bucket, spec, Q)) for bucket in buckets]
+    vector, exps, codes = _a_terms(spec, Q)
+    a_rows, b_rows = int(vector.max(initial=-1)) + 1, sum(map(len, b_cols))
+    entries = CodeEntries(2 * (len(codes) + b_rows), 2 * (a_rows + b_rows), 3 * Q ** n,
+                          spec.field)
+    degree = exps.sum(axis=1)
+    by_degree = np.split(np.argsort(degree, kind="stable"),
+                         np.cumsum(np.bincount(degree, minlength=len(buckets)))[:-1])
+    copy, row0, col0 = a_rows + b_rows, a_rows, 0
+    for bucket, terms, b_col in zip(buckets, by_degree, b_cols):
+        rows, vals = vector[terms], codes[terms]
+        cols = np.searchsorted(_codes(bucket, Q), _codes(exps[terms], Q)) + col0
+        entries.add(rows, cols, vals)
+        entries.add(rows + copy, cols + 2 * len(bucket), vals)
+        rows, cols = np.arange(row0, row0 + len(b_col)), b_col + col0 + len(bucket)
+        entries.add(rows, cols, 1)
+        entries.add(rows + copy, cols + len(bucket), 1)
+        row0, col0 = row0 + len(b_col), col0 + 3 * len(bucket)
+    del vector, exps, codes, degree, by_degree
     widths = np.repeat([len(bucket) for bucket in buckets], 3)
     ranks = entries.block_ranks(np.cumsum(np.r_[0, widths]))
     return [tuple(ranks[i:i + 3]) for i in range(0, len(ranks), 3)]

@@ -435,6 +435,16 @@ class TestConjecture:
         code = main(["conjecture", "--q", "6", "--n", "1", "--m", "1"])
         assert code == 2
 
+    def test_series_length_cap_exits_3(self, capsys):
+        # 3 (2^25 - 1) + 1 coefficients: capped before the series is built
+        code = main(["conjecture", "--q", "2", "--n", "3", "--m", "25",
+                     "--max-monomials", "10"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "the series needs 100663294 coefficients, above the cap of 10"]
+
 
 def write_manifest(path, **overrides):
     manifest = {

@@ -17,9 +17,8 @@ from frobpow.group import (
 from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
-    verify_decomposition, _a_vectors, _b_vectors, _binomials, _codes,
-    _degree_buckets, _fixed_by_diagonals, _split_generators, _transvection_terms,
-    _wexp_vectors)
+    verify_decomposition, _a_terms, _b_mask, _binomials, _codes,
+    _degree_buckets, _fixed_by_diagonals, _split_generators, _transvection_terms)
 from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
@@ -275,46 +274,123 @@ class TestDecomposition:
         fring = basics.f_ring()
         D = spec.n * (Q - 1)
         expected = [[] for _ in range(D + 1)]
-        for bvec in _wexp_vectors(basics.weights, D, (D + 1,) * spec.n):
+        for bvec in itertools.product(*(range(D // w + 1) for w in basics.weights)):
+            degree = sum(w * b for w, b in zip(basics.weights, bvec))
+            if degree > D:
+                continue
             poly = reduce_mod_frobenius(expand_f(fring.monomial(bvec), basics), Q)
             if poly.terms:
-                degree = sum(w * b for w, b in zip(basics.weights, bvec))
                 expected[degree].append(
                     {mono: spec.field.encode(c) for mono, c in poly.terms.items()})
-        got = _a_vectors(spec, m, 10 ** 6)
-        assert got == expected
-        assert all(type(c) is int for vecs in got for vec in vecs for c in vec.values())
+        vector, exps, codes = _a_terms(spec, Q)
+        assert np.all(codes > 0) and np.all(codes < spec.p)
+        got = [[] for _ in range(D + 1)]
+        for v in np.unique(vector):
+            terms = vector == v
+            vec = dict(zip(map(tuple, exps[terms].tolist()), codes[terms].tolist()))
+            assert len(vec) == np.count_nonzero(terms)  # distinct picks, distinct monomials
+            assert len({sum(mono) for mono in vec}) == 1
+            got[sum(next(iter(vec)))].append(vec)
+
+        def multiset(vecs):
+            return sorted(sorted(vec.items()) for vec in vecs)
+
+        assert [multiset(vecs) for vecs in got] == [multiset(vecs) for vecs in expected]
 
     def test_stack_cap_fires_before_any_elimination(self, monkeypatch):
         def no_elimination(self):
             raise AssertionError("eliminated before the entries were charged")
 
-        # every vector is entered twice, alone and in the A + B stack, and
+        # every term is entered twice, alone and in the A + B stack, and
         # every degree has three column blocks
         spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
-        a_vecs, b_vecs = _a_vectors(spec, m, 10 ** 6), _b_vectors(spec, m, 10 ** 6)
-        nnz = 2 * sum(len(vec) for vecs in (a_vecs, b_vecs) for vs in vecs for vec in vs)
+        _, _, codes = _a_terms(spec, 9)
+        b_terms = sum(int(_b_mask(bucket, spec, 9).sum()) for bucket in _degree_buckets(2, 9))
+        nnz = 2 * (len(codes) + b_terms)
         monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 3 * 81) * ff._ENTRY_BYTES - 1)
         with pytest.raises(CapExceeded, match=f"eliminating a matrix of {nnz} entries"):
             verify_decomposition(spec, m)
 
     def test_b_membership_in_fixed_space(self):
-        # every spanning element of the complement module is itself invariant
-        spec = GroupSpec(p=3, n=2, ell=1, e=2)
-        m, Q = 2, 9
-        ring = PolyRing(spec.field, spec.n)
-        gens = build_group(spec)
-        seen = 0
-        for vecs in _b_vectors(spec, m, 10 ** 6):
-            for vec in vecs:
-                poly = ring.zero()
-                for mono, c in vec.items():
-                    poly = poly + ring.monomial(mono, c)
+        # the B mask picks the spanning elements of the complement module,
+        # x^a (a_i < q, sum a >= 2) x_n^(Q-1) times pure powers of
+        # f_1..f_(n-1), each once; every one of them is itself invariant
+        for spec, m, members in [(GroupSpec(p=3, n=2, ell=1, e=2), 2, True),
+                                 (GroupSpec(p=3, n=3, ell=1, e=2), 2, False),
+                                 (GroupSpec(p=3, n=3, ell=2, e=2), 2, False),
+                                 (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 2, False)]:
+            n, ell, Q = spec.n, spec.ell, spec.q ** m
+            weights = basic_invariants(spec).weights[:n - 1]
+            expected = []
+            for head in itertools.product(range(spec.q), repeat=ell):
+                if sum(head) < 2:
+                    continue
+                pad = head + (0,) * (n - 1 - ell)
+                for bvec in itertools.product(*(range((Q - 1 - a) // w + 1)
+                                                for w, a in zip(weights, pad))):
+                    expected.append(tuple(w * b + a for w, b, a in zip(weights, bvec, pad))
+                                    + (Q - 1,))
+            got = [tuple(mono) for bucket in _degree_buckets(n, Q)
+                   for mono in bucket[_b_mask(bucket, spec, Q)].tolist()]
+            assert got and sorted(got) == sorted(expected)
+            if not members:
+                continue
+            ring = PolyRing(spec.field, n)
+            gens = build_group(spec)
+            for mono in got:
+                poly = ring.monomial(mono)
                 for g in gens:
                     assert reduce_mod_frobenius(act(g, poly), Q) == poly
-                seen += 1
-        assert seen > 0
+
+    def test_expansion_is_charged_before_it_allocates(self, monkeypatch):
+        def no_binomials(a, j, p):
+            raise AssertionError("expanded before the terms were charged")
+
+        spec, m = GroupSpec(p=3, n=2, ell=1, e=2), 2
+        verify_decomposition(spec, m)  # fill the caches
+        charged = []
+        check = ff.check_budget
+
+        def record(nbytes, what):
+            charged.append((nbytes, what))
+            check(nbytes, what)
+
+        monkeypatch.setattr(invariants, "check_budget", record)
+        _a_terms(spec, 9)
+        (nbytes, what), = [c for c in charged if c[1].startswith("expanding")]
+        monkeypatch.setattr(invariants, "check_budget", check)
+        monkeypatch.setattr(invariants, "_binomials", no_binomials)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", nbytes - 1)
+        with pytest.raises(CapExceeded, match=what):
+            verify_decomposition(spec, m)
+
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=3, n=3, ell=2, e=2), 3),
+        (GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 3),
+    ], ids=str)
+    def test_ab_peak_within_the_charge(self, monkeypatch, spec, m):
+        # the expansion, and everything up to and through the elimination,
+        # stay within the most that was charged to the budget
+        Q = spec.q ** m
+        invariants._ab_ranks(spec, m, 10 ** 6)  # fill the caches
+        check = ff.check_budget
+        for run in (lambda: _a_terms(spec, Q), lambda: invariants._ab_ranks(spec, m, 10 ** 6)):
+            charged = []
+
+            def record(nbytes, what):
+                charged.append(nbytes)
+                check(nbytes, what)
+
+            monkeypatch.setattr(ff, "check_budget", record)
+            monkeypatch.setattr(invariants, "check_budget", record)
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= max(charged)
 
 
 class TestExponentBound:
@@ -465,6 +541,8 @@ class TestIntegerCodeAssembly:
             brute_force_hilbert(GroupSpec(p=3, n=2, ell=1, e=2), 2)
             brute_force_hilbert(GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 1)
             full_gl_fixed_basis(3, 2, 1)
+            verify_decomposition(GroupSpec(p=3, n=2, ell=1, e=2), 2)
+            verify_decomposition(GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 2)
         finally:
             sys.setprofile(None)
         assert calls == []
