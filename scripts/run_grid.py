@@ -61,7 +61,7 @@ def main(argv=None):
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     sweep_argv = ["sweep", "--manifest", str(path)]
-    if args.jobs:
+    if args.jobs is not None:
         sweep_argv += ["--jobs", str(args.jobs)]
     return frobpow_main(sweep_argv)
 

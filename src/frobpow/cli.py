@@ -364,7 +364,11 @@ def _sweep_job(job):
 
 
 def cmd_sweep(args):
-    workers = int(os.environ.get("FROBPOW_JOBS", "1")) if args.jobs is None else args.jobs
+    env = os.environ.get("FROBPOW_JOBS", "1")
+    try:
+        workers = int(env) if args.jobs is None else args.jobs
+    except ValueError:
+        raise ValueError(f"FROBPOW_JOBS must be a worker count, not {env!r}") from None
     if workers < 1:
         raise ValueError(f"sweep needs at least one worker, not {workers}")
     try:

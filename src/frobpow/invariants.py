@@ -1,27 +1,29 @@
 """Basic invariants, Groebner generators, and the fixed space of the quotient
-by a Frobenius power, computed degree by degree as exact linear algebra.
+by a Frobenius power, computed as exact linear algebra.
 
 The quotient by (x_1^Q, ..., x_n^Q) with Q = q^m has the monomial basis
-{x^a : a_i < Q}, graded by total degree.  Fixed spaces are computed from
-generators only, on integer field codes in numpy arrays, with no field
-element objects per monomial:
+{x^a : a_i < Q}, graded by total degree and listed once, by degree, in a
+monomial table.  A group element preserves degree, so each degree is a
+block of consecutive columns, and every degree is built and eliminated at
+once.  Fixed spaces are computed from generators only, on integer field
+codes in numpy arrays, with no field element objects per monomial:
 
 * a diagonal generator diag(d_1, ..., d_n) scales x^a, so it cuts the basis
   to the monomials with sum a_i log d_i = 0 mod q - 1;
 * an elementary transvection whose inverse substitutes x_k -> x_k + c x_l
   sends x^a to sum_j C(a_k, j) c^j x^(a - j e_k + j e_l), so its (g - 1)
-  columns are the terms j >= 1 with a_l + j < Q, their binomials mod p by
-  Lucas' theorem;
-* the (g - 1) blocks of all transvections are stacked per degree, each
-  degree is a column block of one sparse matrix, and a single elimination
-  ranks every block; any other kind of generator is rejected.
+  columns are the terms j >= 1 with a_l + j < Q and C(a_k, j) nonzero mod
+  p, read from a table of binomials made by Lucas' theorem;
+* the (g - 1) blocks of all transvections are stacked into one sparse
+  matrix, and a single elimination ranks every degree's block, or gives
+  every degree's kernel; any other kind of generator is rejected.
 
 The A/B decomposition is built as entry arrays too.  Every coefficient
 lies in the prime subfield, so a residue mod p is its own code.  A is
 spanned by the f-monomials' expansions, listed from a numpy grid of
 f-exponents and expanded one binomial f_i at a time into terms (vector,
-exponents, code); B by single monomials, a mask over each degree bucket.
-Each degree's A, B and stacked A + B rows are three column blocks of one
+exponents, code); B by single monomials, a mask over the table.  Each
+degree's A, B and stacked A + B rows are three column blocks of one
 elimination.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, CodeEntries, MatrixFq, binom_mod_p, check_budget, code_arithmetic, \
-    discrete_logs, factor_prime_power, make_field
+from .ff import CapExceeded, CodeEntries, MatrixFq, _code_dtype, _segments, check_budget, \
+    code_arithmetic, discrete_logs, factor_prime_power, make_field
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
@@ -200,24 +202,28 @@ class HilbertFunction:
 
 
 @functools.lru_cache(maxsize=None)
-def _degree_buckets(n, Q):
-    """Exponent vectors of the quotient's monomials, one read-only array per degree.
+def _monomial_table(n, Q):
+    """The quotient's monomials as one read-only table (exps, starts, pos).
 
-    Each array lists its monomials in itertools.product order, which is the
-    ascending order of their codes (see _codes).
+    exps lists every exponent row by degree and, within a degree, in
+    itertools.product order, the ascending order of their codes (see
+    _codes); the rows of degree d are starts[d] .. starts[d + 1] - 1, and
+    pos[code] is the row of the monomial with that code.
     """
-    dtype = np.dtype(np.int16 if Q <= 2 ** 15 else np.int32)
-    # the grid and its sorted copy, plus an int64 degree and sort index each
-    check_budget(Q ** n * (2 * n * dtype.itemsize + 16), f"listing the {Q ** n} monomials")
-    grid = np.indices((Q,) * n, dtype=dtype)
-    grid = grid.reshape(n, -1).T
-    degrees = grid.sum(axis=1)
-    ordered = grid[np.argsort(degrees, kind="stable")]
-    sizes = np.bincount(degrees, minlength=n * (Q - 1) + 1)
-    buckets = np.split(ordered, np.cumsum(sizes)[:-1])
-    for bucket in buckets:
-        bucket.flags.writeable = False
-    return tuple(buckets)
+    size, dtype = Q ** n, np.dtype(np.int16 if Q <= 2 ** 15 else np.int32)
+    # the grid and its sorted copy, plus an int64 degree and sort order each;
+    # the positions come after the grid and the degrees are freed
+    check_budget(size * (2 * n * dtype.itemsize + 16), f"listing the {size} monomials")
+    grid = np.indices((Q,) * n, dtype=dtype).reshape(n, -1)
+    degrees = grid.sum(axis=0)
+    order = np.argsort(degrees, kind="stable")
+    starts = np.r_[0, np.cumsum(np.bincount(degrees, minlength=n * (Q - 1) + 1))]
+    exps = grid.T[order]
+    del grid, degrees
+    pos = np.empty(size, dtype=np.int32 if size <= 2 ** 31 else np.int64)
+    pos[order] = np.arange(size, dtype=pos.dtype)
+    exps.flags.writeable = starts.flags.writeable = pos.flags.writeable = False
+    return exps, starts, pos
 
 
 def _codes(exps, Q):
@@ -225,31 +231,38 @@ def _codes(exps, Q):
     return exps @ Q ** np.arange(exps.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
-def _code_powers(c, field, count):
-    """Codes of c^0, ..., c^(count - 1) for the element with code c."""
-    powers = np.ones(count, dtype=np.int64)
-    mul = code_arithmetic(field).mul
-    for j in range(1, count):
-        powers[j] = mul(int(powers[j - 1]), c)
-    return powers
-
-
 @functools.lru_cache(maxsize=None)
-def _digit_binomials(p):
-    """C(u, v) mod p for u, v < p, read-only: the factors of Lucas' theorem."""
-    table = np.array([[binom_mod_p(u, v, p) for v in range(p)] for u in range(p)],
-                     dtype=np.int64)
-    table.flags.writeable = False
-    return table
+def _binomial_pairs(p, Q):
+    """(keys, codes): the pairs j <= a < Q, Q a power of p, with C(a, j) nonzero mod p.
 
-
-def _binomials(a, j, p):
-    """C(a, j) mod p elementwise, a product over base-p digits (Lucas)."""
-    out = np.ones_like(a)
-    while a.any():
-        out = out * _digit_binomials(p)[a % p, j % p] % p
-        a, j = a // p, j // p
-    return out
+    keys holds a Q + j, ascending, and codes C(a, j) mod p in the code
+    dtype; both read-only.  By Lucas' theorem these are the pairs whose
+    base-p digits have j_i <= a_i, and C(a, j) = prod C(a_i, j_i) mod p, so
+    they are built a digit at a time from Pascal's triangle mod p, each
+    step's pairs charged first at 32 bytes apiece.
+    """
+    what = f"tabulating the binomials below {Q}"
+    check_budget(32 * p * p, what)
+    u, v = np.tril_indices(p)
+    digit = [np.ones(1, dtype=np.int64)]  # Pascal's triangle mod p, row u = C(u, 0..u)
+    for _ in range(p - 1):
+        digit.append((np.r_[digit[-1], 0] + np.r_[0, digit[-1]]) % p)
+    digit = np.concatenate(digit)
+    a = j = np.zeros(1, dtype=np.int64)
+    codes = np.ones(1, dtype=np.int64)
+    while a[-1] < Q - 1:  # a[-1] = p^k - 1 after k digits
+        check_budget(32 * len(a) * len(u), what)
+        codes = (codes[:, None] * digit % p).ravel()
+        a = (a[:, None] * p + u).ravel()
+        j = (j[:, None] * p + v).ravel()
+    a *= Q
+    a += j
+    del j
+    order = np.argsort(a)
+    codes = codes.astype(_code_dtype(p))[order]
+    keys = a[order]
+    keys.flags.writeable = codes.flags.writeable = False
+    return keys, codes
 
 
 def _split_generators(gens, Q):
@@ -271,8 +284,9 @@ def _split_generators(gens, Q):
             logs.append(log[[mat.field.encode(d) for d in diag]].astype(np.int64))
         elif len(off) == 1 and all(d == 1 for d in diag):
             (k, l), = off
-            c = mat.field.encode(-mat.entry(k, l))
-            moves.append((k, l, _code_powers(c, mat.field, Q)))
+            exp, log = discrete_logs(mat.field)
+            c = int(log[mat.field.encode(-mat.entry(k, l))])
+            moves.append((k, l, exp[np.arange(Q) * c % (mat.field.order - 1)]))
         else:
             raise ValueError(f"generator {g} is neither diagonal nor an elementary transvection")
     return logs, moves
@@ -290,75 +304,64 @@ def _fixed_by_diagonals(exps, logs, order):
     return keep
 
 
-def _term_counts(cols, move, Q):
-    """Per column, the number of terms j >= 1 of (g - 1) x^a inside the quotient."""
-    k, l, _ = move
-    return np.minimum(cols[:, k], Q - 1 - cols[:, l]).astype(np.int64)
-
-
-def _transvection_terms(bucket_codes, cols, move, field, Q):
-    """Nonzero entries (rows, cols, codes) of g - 1 on one degree's columns.
+def _transvection_terms(cols, move, field, Q):
+    """Nonzero entries (rows, cols, codes) of g - 1 on the columns with exponents cols.
 
     g^{-1} substitutes x_k -> x_k + c x_l, so x^a goes to the sum over j of
     C(a_k, j) c^j x^(a - j e_k + j e_l).  The j = 0 term cancels against the
-    identity and terms with a_l + j >= Q vanish in the quotient.  Rows index
-    the degree's bucket, whose codes are bucket_codes.
+    identity, terms with a_l + j >= Q vanish in the quotient and so do those
+    whose binomial is zero mod p, so a column's terms are the pairs (a_k, j)
+    of _binomial_pairs with 1 <= j <= Q - 1 - a_l.  A row is the code of the
+    term's monomial (see _codes).
     """
     k, l, powers = move
-    ak = cols[:, k].astype(np.int64)
-    counts = _term_counts(cols, move, Q)
-    col = np.repeat(np.arange(len(cols)), counts)
-    j = np.arange(len(col)) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    code = code_arithmetic(field).mul(_binomials(ak[col], j, field.p), powers[j])
-    nz = code != 0
-    col, j = col[nz], j[nz]
+    keys, binomials = _binomial_pairs(field.p, Q)
+    low = cols[:, k].astype(np.int64) * Q
+    first = np.searchsorted(keys, low, side="right").astype(np.int32)  # past j = 0
+    counts = np.searchsorted(keys, low + (Q - 1 - cols[:, l]), side="right") - first
+    pick = _segments(first, counts)
+    col = np.repeat(np.arange(len(cols), dtype=np.int32), counts)
+    j, binomials = keys[pick], binomials[pick]
+    del pick
+    j %= Q
+    codes = code_arithmetic(field).mul(binomials, powers[j])
+    del binomials
     n = cols.shape[1]
-    target = _codes(cols, Q)[col] + j * (Q ** (n - 1 - l) - Q ** (n - 1 - k))
-    return np.searchsorted(bucket_codes, target), col, code[nz]
-
-
-def _stacked_entries(degrees, moves, field, Q):
-    """The (g - 1) stacks of the given (bucket, columns) degrees side by side.
-
-    Degree i is a column block with a row block per transvection, so the
-    blocks are independent.  Terms are counted, and charged, before any
-    entry is built; each generator's entries are packed as they come.
-    """
-    terms = sum(int(_term_counts(cols, move, Q).sum()) for _, cols in degrees for move in moves)
-    entries = CodeEntries(terms, len(moves) * sum(len(bucket) for bucket, _ in degrees),
-                          sum(len(cols) for _, cols in degrees), field)
-    row0 = col0 = 0
-    for bucket, cols in degrees:
-        bucket_codes = _codes(bucket, Q)
-        for move in moves:
-            rows, cidx, codes = _transvection_terms(bucket_codes, cols, move, field, Q)
-            entries.add(rows + row0, cidx + col0, codes)
-            row0 += len(bucket)
-        col0 += len(cols)
-    return entries
+    j *= Q ** (n - 1 - l) - Q ** (n - 1 - k)
+    j += _codes(cols, Q)[col]
+    return j, col, codes
 
 
 def _fixed_space(gens, field, n, Q, want_basis=False):
     """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q].
 
-    The dims come from one elimination of every degree's stack at once, the
-    basis from one nullspace per degree.
+    The columns are the monomials every diagonal generator fixes, in table
+    order, so each degree is a block of consecutive columns.  The rows are
+    the (g - 1) stacks of all transvections, move i's rows i Q^n plus the
+    codes of its terms' monomials.  The terms j >= 1 inside the quotient,
+    min(a_k, Q - 1 - a_l) per column, are counted, and charged, before any
+    entry is built; each move's entries are packed, and its arrays freed,
+    before the next.  One elimination gives every degree's rank, or one
+    nullspace every degree's basis: a kernel vector lies in the degree of
+    its free column.
     """
-    buckets = _degree_buckets(n, Q)  # charged first: the logs cost q - 1 products
+    exps, starts, _ = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
-    degrees = [(bucket, bucket[_fixed_by_diagonals(bucket, logs, field.order - 1)])
-               for bucket in buckets]
-    widths = [len(cols) for _, cols in degrees]
+    cols = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
+    bounds, cols = np.searchsorted(cols, starts), exps[cols]  # now their exponents
+    terms = sum(int(np.minimum(cols[:, k], Q - 1 - cols[:, l]).sum()) for k, l, _ in moves)
+    entries = CodeEntries(terms, len(moves) * len(exps), len(cols), field)
+    for i, move in enumerate(moves):
+        rows, cidx, codes = _transvection_terms(cols, move, field, Q)
+        entries.add(rows + i * len(exps), cidx, codes)
+        del rows, cidx, codes
     if not want_basis:
-        ranks = _stacked_entries(degrees, moves, field, Q).block_ranks(
-            np.cumsum([0] + widths))
-        return [w - r for w, r in zip(widths, ranks)], None
-    basis = []
-    for degree in degrees:
-        monos = [tuple(a) for a in degree[1].tolist()]
-        kernel = _stacked_entries([degree], moves, field, Q).nullspace()
-        basis.append([{monos[ci]: field.decode(int(krow[ci])) for ci in np.flatnonzero(krow)}
-                      for krow in kernel])
+        return (np.diff(bounds) - entries.block_ranks(bounds)).tolist(), None
+    monos = [tuple(a) for a in cols.tolist()]
+    basis = [[] for _ in bounds[1:]]
+    for krow in entries.nullspace():
+        nz = np.flatnonzero(krow)
+        basis[sum(monos[nz[0]])].append({monos[c]: field.decode(int(krow[c])) for c in nz})
     return [len(b) for b in basis], basis
 
 
@@ -372,9 +375,7 @@ def _check_cap(Q, n, cap):
 def _brute_dims(spec, m, cap):
     Q = spec.q ** m
     _check_cap(Q, spec.n, cap)
-    gens = build_group(spec)
-    dims, _ = _fixed_space(gens, spec.field, spec.n, Q)
-    return tuple(dims)
+    return tuple(_fixed_space(build_group(spec), spec.field, spec.n, Q)[0])
 
 
 def brute_force_hilbert(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
@@ -386,15 +387,12 @@ def brute_force_hilbert(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 
 def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree bases of the GL_n(F_q)-fixed space of S/m^[q^m] (tiny scale)."""
-    p, r = factor_prime_power(q)
-    field = make_field(p, r)
-    Q = q ** m
+    field, Q = make_field(*factor_prime_power(q)), q ** m
     _check_cap(Q, n, max_monomials)
     gens = full_gl_generators(field, n)
     if not gens:
         gens = [GroupElement(MatrixFq.identity(field, n))]
-    dims, basis = _fixed_space(gens, field, n, Q, want_basis=True)
-    return basis
+    return _fixed_space(gens, field, n, Q, want_basis=True)[1]
 
 
 # -- the A/B decomposition --------------------------------------------------
@@ -419,9 +417,10 @@ def _a_terms(spec, Q):
     terms (-1)^(b_i - j) C(b_i, j) x_i^(b_i + (q-1) j) x_n^((q-1)(b_i - j)),
     whose two exponents add up to q b_i and lie below Q, so b_i <= 2(Q-1)/q.
     The terms start as the grid itself; each binomial in turn replaces every
-    term by its picks j that keep x_i and x_n below Q.  The x_i exponent
-    grows with j, so distinct picks are distinct monomials and none cancel.
-    Every step's terms are charged before they are built.
+    term by its picks j that keep x_i and x_n below Q and C(b_i, j) nonzero
+    mod p, read from _binomial_pairs.  The x_i exponent grows with j, so
+    distinct picks are distinct monomials and none cancel.  Every step's
+    terms are charged before they are built.
     """
     n, ell, q, p = spec.n, spec.ell, spec.q, spec.p
     caps = (2 * (Q - 1) // q + 1,) * ell + (Q,) * (n - 1 - ell) + ((Q - 1) // spec.e + 1,)
@@ -431,26 +430,24 @@ def _a_terms(spec, Q):
     exps[:, n - 1] *= spec.e
     vector, codes = np.arange(size), np.ones(size, dtype=np.int64)
     for i in range(ell):
+        keys, binomials = _binomial_pairs(p, Q)
         b, top = exps[:, i], exps[:, n - 1]
-        lo = np.maximum(b - (Q - 1 - top) // (q - 1), 0)
-        counts = np.maximum(np.minimum(b, (Q - 1 - b) // (q - 1)) - lo + 1, 0)
+        first = np.searchsorted(keys, b * Q + np.maximum(b - (Q - 1 - top) // (q - 1), 0))
+        last = np.searchsorted(keys, b * Q + np.minimum(b, (Q - 1 - b) // (q - 1)), side="right")
+        counts = np.maximum(last - first, 0)
         total = int(counts.sum())
         _term_charge(len(vector), total, n, f"expanding the f-monomials into {total} terms")
-        term = np.repeat(np.arange(len(counts)), counts)
-        j = np.arange(total) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        bt = b[term]
-        coef = _binomials(bt, j, p)
-        coef[(bt - j) % 2 == 1] *= -1
-        nz = coef != 0
-        term, j = term[nz], j[nz]
-        vector, codes, exps = vector[term], codes[term] * coef[nz] % p, exps[term]
+        pick, term = _segments(first, counts), np.repeat(np.arange(len(counts)), counts)
+        j, coef = keys[pick] % Q, binomials[pick]
+        coef[(b[term] - j) % 2 == 1] *= -1
+        vector, codes, exps = vector[term], codes[term] * coef % p, exps[term]
         exps[:, n - 1] += (q - 1) * (exps[:, i] - j)
         exps[:, i] += (q - 1) * j
     return vector, exps, codes
 
 
-def _b_mask(bucket, spec, Q):
-    """Which monomials of a degree bucket span the complement module B.
+def _b_mask(exps, spec, Q):
+    """Which monomials, given as exponent rows, span the complement module B.
 
     B is spanned by x^a x_n^(Q-1), a_i < q for i < ell and sum a_i >= 2,
     times products of f_1..f_(n-1), of which only the pure power terms
@@ -459,42 +456,39 @@ def _b_mask(bucket, spec, Q):
     the monomials x^c x_n^(Q-1) with sum over i < ell of (c_i mod q) >= 2,
     each once.
     """
-    return (bucket[:, -1] == Q - 1) & ((bucket[:, :spec.ell] % spec.q).sum(axis=1) >= 2)
+    return (exps[:, -1] == Q - 1) & ((exps[:, :spec.ell] % spec.q).sum(axis=1) >= 2)
 
 
 def _ab_ranks(spec, m, cap):
     """Per-degree (rank A, rank B, rank of A stacked on B).
 
     Every degree's A, B and stacked rows are column blocks of one
-    elimination.  The A rows are the f-monomials' expansions, numbered in
-    grid order; the B rows, one masked monomial each, follow them, and both
-    come again for the stacked blocks, A before B.  The entries, each term
-    twice, are charged before any is built, and the expansion is freed
-    before the elimination.
+    elimination: the monomial at table row i of degree d, whose rows are
+    lo .. hi - 1, is column i + 2 lo of the A block, i + lo + hi of the B
+    block and i + 2 hi of the stacked block.  The A rows are the
+    f-monomials' expansions, numbered in grid order; the B rows, one masked
+    monomial each in table order, follow them, and both come again for the
+    stacked blocks.  The entries, each term twice, are charged before any is
+    built, and the expansion is freed before the elimination.
     """
     n, Q = spec.n, spec.q ** m
     _check_cap(Q, n, cap)
-    buckets = _degree_buckets(n, Q)
-    b_cols = [np.flatnonzero(_b_mask(bucket, spec, Q)) for bucket in buckets]
-    vector, exps, codes = _a_terms(spec, Q)
-    a_rows, b_rows = int(vector.max(initial=-1)) + 1, sum(map(len, b_cols))
+    exps, starts, pos = _monomial_table(n, Q)
+    b_col = np.flatnonzero(_b_mask(exps, spec, Q))
+    vector, a_exps, codes = _a_terms(spec, Q)
+    a_rows, b_rows = int(vector.max(initial=-1)) + 1, len(b_col)
     entries = CodeEntries(2 * (len(codes) + b_rows), 2 * (a_rows + b_rows), 3 * Q ** n,
                           spec.field)
-    degree = exps.sum(axis=1)
-    by_degree = np.split(np.argsort(degree, kind="stable"),
-                         np.cumsum(np.bincount(degree, minlength=len(buckets)))[:-1])
-    copy, row0, col0 = a_rows + b_rows, a_rows, 0
-    for bucket, terms, b_col in zip(buckets, by_degree, b_cols):
-        rows, vals = vector[terms], codes[terms]
-        cols = np.searchsorted(_codes(bucket, Q), _codes(exps[terms], Q)) + col0
-        entries.add(rows, cols, vals)
-        entries.add(rows + copy, cols + 2 * len(bucket), vals)
-        rows, cols = np.arange(row0, row0 + len(b_col)), b_col + col0 + len(bucket)
-        entries.add(rows, cols, 1)
-        entries.add(rows + copy, cols + len(bucket), 1)
-        row0, col0 = row0 + len(b_col), col0 + 3 * len(bucket)
-    del vector, exps, codes, degree, by_degree
-    widths = np.repeat([len(bucket) for bucket in buckets], 3)
+    a_col = pos[_codes(a_exps, Q)]
+    del a_exps
+    for rows, col, vals, b_side in ((vector, a_col, codes, 0),
+                                    (np.arange(a_rows, a_rows + b_rows), b_col, 1, 1)):
+        degree = np.searchsorted(starts, col, side="right") - 1
+        lo, hi = starts[degree], starts[degree + 1]
+        entries.add(rows, col + (2 - b_side) * lo + b_side * hi, vals)
+        entries.add(rows + a_rows + b_rows, col + 2 * hi, vals)
+    del vector, codes, a_col, rows, col, vals, degree, lo, hi
+    widths = np.repeat(np.diff(starts), 3)
     ranks = entries.block_ranks(np.cumsum(np.r_[0, widths]))
     return [tuple(ranks[i:i + 3]) for i in range(0, len(ranks), 3)]
 

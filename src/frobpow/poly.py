@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ff import FieldElem, binom_mod_p
+from .ff import Field, FieldElem, binom_mod_p
 
 
 @dataclass(frozen=True)

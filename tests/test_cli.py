@@ -586,6 +586,15 @@ class TestSweep:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_non_integer_jobs_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FROBPOW_JOBS", "abc")
+        manifest = write_manifest(tmp_path)
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "FROBPOW_JOBS must be a worker count, not 'abc'" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_job_files_are_single_command_output(self, tmp_path, capsys):
         # r = 2, ell = 0 has no closed form (hilbert runs as --mode brute),
         # ell = 0 groups are outside the h-generator range (gbcheck skips),

@@ -17,8 +17,8 @@ from frobpow.group import (
 from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
-    verify_decomposition, _a_terms, _b_mask, _binomials, _codes,
-    _degree_buckets, _fixed_by_diagonals, _split_generators, _transvection_terms)
+    verify_decomposition, _a_terms, _b_mask, _binomial_pairs, _codes,
+    _fixed_by_diagonals, _monomial_table, _split_generators, _transvection_terms)
 from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
@@ -305,7 +305,7 @@ class TestDecomposition:
         # every degree has three column blocks
         spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
         _, _, codes = _a_terms(spec, 9)
-        b_terms = sum(int(_b_mask(bucket, spec, 9).sum()) for bucket in _degree_buckets(2, 9))
+        b_terms = int(_b_mask(_monomial_table(2, 9)[0], spec, 9).sum())
         nnz = 2 * (len(codes) + b_terms)
         monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 3 * 81) * ff._ENTRY_BYTES - 1)
@@ -331,8 +331,8 @@ class TestDecomposition:
                                                 for w, a in zip(weights, pad))):
                     expected.append(tuple(w * b + a for w, b, a in zip(weights, bvec, pad))
                                     + (Q - 1,))
-            got = [tuple(mono) for bucket in _degree_buckets(n, Q)
-                   for mono in bucket[_b_mask(bucket, spec, Q)].tolist()]
+            exps = _monomial_table(n, Q)[0]
+            got = [tuple(mono) for mono in exps[_b_mask(exps, spec, Q)].tolist()]
             assert got and sorted(got) == sorted(expected)
             if not members:
                 continue
@@ -344,7 +344,7 @@ class TestDecomposition:
                     assert reduce_mod_frobenius(act(g, poly), Q) == poly
 
     def test_expansion_is_charged_before_it_allocates(self, monkeypatch):
-        def no_binomials(a, j, p):
+        def no_picks(starts, counts):
             raise AssertionError("expanded before the terms were charged")
 
         spec, m = GroupSpec(p=3, n=2, ell=1, e=2), 2
@@ -360,7 +360,7 @@ class TestDecomposition:
         _a_terms(spec, 9)
         (nbytes, what), = [c for c in charged if c[1].startswith("expanding")]
         monkeypatch.setattr(invariants, "check_budget", check)
-        monkeypatch.setattr(invariants, "_binomials", no_binomials)
+        monkeypatch.setattr(invariants, "_segments", no_picks)
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", nbytes - 1)
         with pytest.raises(CapExceeded, match=what):
             verify_decomposition(spec, m)
@@ -444,15 +444,23 @@ class TestRewriting:
             with pytest.raises(ValueError, match="not a prime power"):
                 factor_prime_power(bad)
 
-    def test_degree_buckets_partition(self):
-        buckets = _degree_buckets(2, 3)
-        assert sum(len(b) for b in buckets) == 9
-        assert buckets[0].tolist() == [[0, 0]]
-        assert buckets[2].tolist() == [[0, 2], [1, 1], [2, 0]]
-        # each bucket keeps itertools.product order
+    def test_monomial_table_partition(self):
+        exps, starts, pos = _monomial_table(2, 3)
+        assert starts.tolist() == [0, 1, 3, 6, 8, 9]
+        assert exps[:1].tolist() == [[0, 0]]
+        assert exps[3:6].tolist() == [[0, 2], [1, 1], [2, 0]]
+        # by degree, and each degree in itertools.product order
         for n, Q in ((2, 3), (3, 4), (4, 2)):
-            flat = [tuple(a) for b in _degree_buckets(n, Q) for a in b.tolist()]
-            assert flat == sorted(itertools.product(range(Q), repeat=n), key=sum)
+            exps, starts, pos = _monomial_table(n, Q)
+            product = list(itertools.product(range(Q), repeat=n))
+            assert [tuple(a) for a in exps.tolist()] == sorted(product, key=sum)
+            assert all(sum(a) == d for d in range(len(starts) - 1)
+                       for a in exps[starts[d]:starts[d + 1]].tolist())
+            assert starts[-1] == len(exps) == Q ** n
+            # pos inverts the codes, which number itertools.product order
+            assert pos[_codes(exps, Q)].tolist() == list(range(Q ** n))
+            assert [tuple(a) for a in exps[pos].tolist()] == product
+            assert not (exps.flags.writeable or starts.flags.writeable or pos.flags.writeable)
 
 
 # (generators, field, n, Q): every field named by the integer-code engine,
@@ -489,21 +497,45 @@ class TestIntegerCodeAssembly:
             if logs:
                 continue
             image = monomial_images(g.mat.inverse(), ring)
-            for bucket in _degree_buckets(n, Q):
-                monos = [tuple(a) for a in bucket.tolist()]
-                row_of = {mono: i for i, mono in enumerate(monos)}
-                expected = {}
-                for ci, mono in enumerate(monos):
-                    terms = dict(reduce_mod_frobenius(image(mono), Q).terms)
-                    terms[mono] = terms.get(mono, field.zero()) - 1
-                    for target, c in terms.items():
-                        if c:
-                            expected[row_of[target], ci] = field.encode(c)
-                rows, cols, codes = _transvection_terms(
-                    _codes(bucket, Q), bucket, moves[0], field, Q)
-                got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, codes)}
-                assert len(got) == len(rows)
-                assert got == expected
+            # every monomial is a column; a row is its itertools.product rank
+            exps = _monomial_table(n, Q)[0]
+            monos = [tuple(a) for a in exps.tolist()]
+            row_of = {mono: i for i, mono in enumerate(itertools.product(range(Q), repeat=n))}
+            expected = {}
+            for ci, mono in enumerate(monos):
+                terms = dict(reduce_mod_frobenius(image(mono), Q).terms)
+                terms[mono] = terms.get(mono, field.zero()) - 1
+                for target, c in terms.items():
+                    if c:
+                        expected[row_of[target], ci] = field.encode(c)
+            rows, cols, codes = _transvection_terms(exps, moves[0], field, Q)
+            got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, codes)}
+            assert len(got) == len(rows)
+            assert got == expected
+
+    @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
+    def test_ranks_match_the_nullspace_basis(self, case):
+        # the dims path (block_ranks) and the basis path (nullspace) eliminate
+        # the same entries; every kernel vector lies in one degree and is
+        # fixed by every generator under polynomial substitution
+        gens, field, n, Q = case
+        dims, _ = invariants._fixed_space(gens, field, n, Q)
+        counts, basis = invariants._fixed_space(gens, field, n, Q, want_basis=True)
+        assert dims == counts == [len(vectors) for vectors in basis]
+        assert len(basis) == n * (Q - 1) + 1
+        ring = PolyRing(field, n)
+        images = [monomial_images(g.mat.inverse(), ring) for g in gens]
+        for d, vectors in enumerate(basis):
+            for vec in vectors:
+                assert vec and {sum(mono) for mono in vec} == {d}
+                poly = ring.zero()
+                for mono, c in vec.items():
+                    poly = poly + ring.monomial(mono, c)
+                for image in images:
+                    moved = ring.zero()
+                    for mono, c in vec.items():
+                        moved = moved + image(mono) * c
+                    assert reduce_mod_frobenius(moved, Q) == poly
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
     def test_diagonal_congruence_matches_field_product(self, case):
@@ -513,20 +545,23 @@ class TestIntegerCodeAssembly:
             if moves:
                 continue
             inv = [g.mat.entry(i, i).inverse() for i in range(n)]
-            for bucket in _degree_buckets(n, Q):
-                keep = _fixed_by_diagonals(bucket, logs, field.order - 1)
-                for a, kept in zip(bucket.tolist(), keep):
-                    scalar = field.one()
-                    for d, ai in zip(inv, a):
-                        scalar = scalar * d ** ai
-                    assert kept == (scalar == field.one())
+            exps = _monomial_table(n, Q)[0]
+            keep = _fixed_by_diagonals(exps, logs, field.order - 1)
+            for a, kept in zip(exps.tolist(), keep):
+                scalar = field.one()
+                for d, ai in zip(inv, a):
+                    scalar = scalar * d ** ai
+                assert kept == (scalar == field.one())
 
     def test_lucas_binomials_match_binom_mod_p(self):
-        pairs = [(a, j) for a in range(80) for j in range(a + 1)]
-        a = np.array([a for a, _ in pairs], dtype=np.int64)
-        j = np.array([j for _, j in pairs], dtype=np.int64)
-        for p in (2, 3, 5, 7, 11):
-            assert _binomials(a, j, p).tolist() == [binom_mod_p(x, y, p) for x, y in pairs]
+        # the table lists exactly the nonzero binomials, in key order
+        for p, Q in ((2, 128), (3, 81), (5, 125), (7, 343), (11, 121), (127, 127), (3, 3)):
+            keys, codes = _binomial_pairs(p, Q)
+            expected = [(a * Q + j, binom_mod_p(a, j, p))
+                        for a in range(Q) for j in range(a + 1) if binom_mod_p(a, j, p)]
+            assert list(zip(keys.tolist(), codes.tolist())) == expected
+            assert codes.dtype == ff.code_arithmetic(make_field(p)).dtype
+            assert not (keys.flags.writeable or codes.flags.writeable)
 
     def test_brute_oracle_never_calls_the_closed_forms(self):
         calls = []
@@ -571,10 +606,14 @@ class TestIntegerCodeAssembly:
         with pytest.raises(CapExceeded, match="needs 0 MiB"):
             brute_force_hilbert(GroupSpec(p=2, n=3, ell=1, e=1), 2)
 
-    def test_fixed_space_peak_within_the_charge(self, monkeypatch):
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=3, n=3, ell=2, e=2), 2),
+        (GroupSpec(p=3, n=2, ell=1, e=2), 4),  # one transvection
+        (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 2),
+    ], ids=str)
+    def test_fixed_space_peak_within_the_charge(self, monkeypatch, spec, m):
         # building the entries and eliminating them stay within the most
         # that was charged to the budget
-        spec, m = GroupSpec(p=3, n=3, ell=2, e=2), 2
         gens = build_group(spec)
         Q = spec.q ** m
         invariants._fixed_space(gens, spec.field, spec.n, Q)  # fill the caches
@@ -604,11 +643,11 @@ class TestIntegerCodeAssembly:
         with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
             brute_force_hilbert(spec, 1, max_monomials=3 * 10 ** 9)
 
-    def test_degree_buckets_are_charged_before_they_exist(self, monkeypatch):
+    def test_monomial_table_is_charged_before_it_exists(self, monkeypatch):
         # 46337^2 monomials would take 16 GiB of exponents
         def no_grid(*args, **kwargs):
             raise AssertionError("allocated before the budget was checked")
 
         monkeypatch.setattr(invariants.np, "indices", no_grid)
         with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
-            _degree_buckets(2, 46337)
+            _monomial_table(2, 46337)

@@ -7,11 +7,12 @@ comparison for order multiplicativity, and matrix closure for the action law.
 
 import itertools
 import random
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
 
-from frobpow.ff import MatrixFq, make_field
+from frobpow.ff import Field, MatrixFq, make_field
 from frobpow.poly import (
     MonomialOrder,
     Polynomial,
@@ -123,6 +124,10 @@ def test_scalar_and_mismatch():
         ring.monomial((-1, 0))
     with pytest.raises(ValueError):
         PolyRing(F5, 2, weights=(1,))
+
+
+def test_ring_annotations_resolve():
+    assert typing.get_type_hints(PolyRing)["field"] is Field
 
 
 # -- orders -----------------------------------------------------------------

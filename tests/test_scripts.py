@@ -41,6 +41,16 @@ def test_run_grid_repro_with_plain_sweep(tmp_path):
     assert replay.stdout == proc.stdout
 
 
+def test_run_grid_passes_jobs_zero_through(tmp_path):
+    # --jobs 0 reaches sweep, which rejects it like `frobpow sweep --jobs 0`
+    out = tmp_path / "out"
+    proc = run("run_grid.py", "--p", "2", "--n", "2", "--m", "1",
+               "--commands", "hilbert", "--output-dir", str(out), "--jobs", "0")
+    assert proc.returncode == 2
+    assert "sweep needs at least one worker, not 0" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_conjecture_scan_known_range():
     proc = run("conjecture_scan.py", "--max-q", "3", "--max-n", "2",
                "--max-m", "2", "--csv")
