@@ -4,8 +4,9 @@ Every subcommand prints machine output on stdout (JSON by default, CSV or a
 short human rendering on request) and diagnostics on stderr.  Exit codes:
 0 all checks pass, 1 a comparison failed, 2 invalid parameters, 3 a size
 cap was exceeded (monomials, points, series length or the memory budget of
-an elimination) or memory ran out before a cap fired, 10 the point-count
-conjecture mismatched its brute-force cross-check (a finding, not a bug).
+an elimination), memory ran out before a cap fired or a sweep worker died,
+10 the point-count conjecture mismatched its brute-force cross-check (a
+finding, not a bug).
 
 Each sweepable subcommand is one ``run_*`` function of (spec, m, caps) that
 returns its JSON payload and the status "ok" or "fail"; ``cmd_*`` renders it.
@@ -363,7 +364,35 @@ def _sweep_job(job):
     return payload | {"command": command, "status": status}
 
 
+def _sweep_group(batch):
+    """The jobs of one group, run in order: (status, job file text) for each."""
+    results = []
+    for job in batch:
+        payload = _sweep_job(job)
+        results.append((payload["status"], _dump_json(payload)))
+    return results
+
+
+def _group_results(groups, workers):
+    """_sweep_group of every batch, yielded in order as each one finishes."""
+    if workers == 1:
+        yield from map(_sweep_group, groups)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_sweep_group, groups)
+
+
 def cmd_sweep(args):
+    """Run a manifest's jobs, one group (spec tag) per task, and print a summary.
+
+    A group's jobs share their caches, so a worker builds each group and
+    fixed space once, and renders the job files itself.  Each group's files
+    are written as soon as it finishes, so a sweep that dies keeps the files
+    of the groups finished before.  The summary lists the jobs in manifest
+    order.
+    """
     env = os.environ.get("FROBPOW_JOBS", "1")
     try:
         workers = int(env) if args.jobs is None else args.jobs
@@ -379,24 +408,22 @@ def cmd_sweep(args):
     if not jobs:
         print("manifest produced no valid grid points", file=sys.stderr)
         return 2
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, jobs))
-    else:
-        results = [_sweep_job(job) for job in jobs]
+    tags = [_spec_tag(GroupSpec.from_json(job["spec"])) for job in jobs]
+    names = [f"{job['command']}_{tag}_m{job['m']}.json" for job, tag in zip(jobs, tags)]
+    groups = {}
+    for i, tag in enumerate(tags):
+        groups.setdefault(tag, []).append(i)
+    batches = [[jobs[i] for i in group] for group in groups.values()]
     outdir = Path(manifest["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    records = []
-    counts = {"ok": 0, "fail": 0, "cap": 0, "skip": 0}
-    for job, payload in zip(jobs, results):
-        tag = _spec_tag(GroupSpec.from_json(job["spec"]))
-        name = f"{job['command']}_{tag}_m{job['m']}.json"
-        (outdir / name).write_text(_dump_json(payload))
-        counts[payload["status"]] += 1
-        records.append({"command": job["command"], "spec": tag, "m": job["m"],
-                        "status": payload["status"], "file": name})
+    statuses = [None] * len(jobs)
+    for group, results in zip(groups.values(), _group_results(batches, workers)):
+        for i, (status, text) in zip(group, results):
+            (outdir / names[i]).write_text(text)
+            statuses[i] = status
+    counts = {status: statuses.count(status) for status in ("ok", "fail", "cap", "skip")}
+    records = [{"command": job["command"], "spec": tag, "m": job["m"], "status": status,
+                "file": name} for job, tag, name, status in zip(jobs, tags, names, statuses)]
     summary = {"jobs": records, "counts": counts, "skipped_grid_points": skipped}
     rows = ["command,spec,m,status,file"] + [
         f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}" for r in records]
@@ -524,6 +551,16 @@ def main(argv=None):
     except MemoryError:
         # a backstop, not a cap: 1 must keep meaning "a comparison failed"
         print("out of memory before any size cap fired", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        # imported here, so that only a failing run pays for the pool module
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        # a killed worker, for example by the OOM killer: also not a comparison
+        print("a sweep worker died before its group finished; the files of "
+              "finished groups are written", file=sys.stderr)
         return 3
 
 

@@ -203,27 +203,48 @@ class HilbertFunction:
 
 @functools.lru_cache(maxsize=None)
 def _monomial_table(n, Q):
-    """The quotient's monomials as one read-only table (exps, starts, pos).
+    """The quotient's monomials as one read-only table (exps, starts).
 
     exps lists every exponent row by degree and, within a degree, in
     itertools.product order, the ascending order of their codes (see
-    _codes); the rows of degree d are starts[d] .. starts[d + 1] - 1, and
-    pos[code] is the row of the monomial with that code.
+    _codes); the rows of degree d are starts[d] .. starts[d + 1] - 1.
     """
     size, dtype = Q ** n, np.dtype(np.int16 if Q <= 2 ** 15 else np.int32)
-    # the grid and its sorted copy, plus an int64 degree and sort order each;
-    # the positions come after the grid and the degrees are freed
-    check_budget(size * (2 * n * dtype.itemsize + 16), f"listing the {size} monomials")
+    top = n * (Q - 1)
+    # the grid and its sorted copy, an int64 degree and sort order each, and
+    # the int64 degree counts, their sums and the starts; the degrees are
+    # freed before the sorted copy is made
+    check_budget(size * (2 * n * dtype.itemsize + 16) + 24 * (top + 2),
+                 f"listing the {size} monomials")
     grid = np.indices((Q,) * n, dtype=dtype).reshape(n, -1)
     degrees = grid.sum(axis=0)
     order = np.argsort(degrees, kind="stable")
-    starts = np.r_[0, np.cumsum(np.bincount(degrees, minlength=n * (Q - 1) + 1))]
+    starts = np.r_[0, np.cumsum(np.bincount(degrees, minlength=top + 1))]
+    del degrees
     exps = grid.T[order]
-    del grid, degrees
-    pos = np.empty(size, dtype=np.int32 if size <= 2 ** 31 else np.int64)
-    pos[order] = np.arange(size, dtype=pos.dtype)
-    exps.flags.writeable = starts.flags.writeable = pos.flags.writeable = False
-    return exps, starts, pos
+    exps.flags.writeable = starts.flags.writeable = False
+    return exps, starts
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_positions(n, Q):
+    """pos[code] is the row of the monomial with that code in _monomial_table(n, Q).
+
+    Read-only.  Only the A/B decomposition looks monomials up by code, so
+    the fixed spaces do not pay for it.
+    """
+    exps = _monomial_table(n, Q)[0]
+    size = len(exps)
+    dtype = np.dtype(np.int32 if size <= 2 ** 31 else np.int64)
+    # _codes holds an int64 copy of the exponents beside the codes, 8(n + 1)
+    # bytes a monomial and more than the codes, positions and values after
+    # it; one int64 a monomial more covers the weights and array headers
+    check_budget(8 * (n + 2) * size, f"indexing the {size} monomials")
+    codes = _codes(exps, Q)
+    pos = np.empty(size, dtype=dtype)
+    pos[codes] = np.arange(size, dtype=dtype)
+    pos.flags.writeable = False
+    return pos
 
 
 def _codes(exps, Q):
@@ -345,7 +366,7 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
     nullspace every degree's basis: a kernel vector lies in the degree of
     its free column.
     """
-    exps, starts, _ = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
+    exps, starts = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
     cols = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
     bounds, cols = np.searchsorted(cols, starts), exps[cols]  # now their exponents
@@ -473,7 +494,8 @@ def _ab_ranks(spec, m, cap):
     """
     n, Q = spec.n, spec.q ** m
     _check_cap(Q, n, cap)
-    exps, starts, pos = _monomial_table(n, Q)
+    exps, starts = _monomial_table(n, Q)
+    pos = _monomial_positions(n, Q)
     b_col = np.flatnonzero(_b_mask(exps, spec, Q))
     vector, a_exps, codes = _a_terms(spec, Q)
     a_rows, b_rows = int(vector.max(initial=-1)) + 1, len(b_col)

@@ -1,14 +1,16 @@
 """Exit codes, output formats, and manifest replay for the command line."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from frobpow import cli, ff, invariants
-from frobpow.cli import _dump_json, main
+from frobpow.cli import _dump_json, _expand_manifest, _sweep_group, _sweep_job, main
 
 GOLDEN_HILBERT_FORMULA = """\
 {
@@ -460,6 +462,27 @@ def write_manifest(path, **overrides):
     return target
 
 
+# the groups of DYING_GRID, in sweep order; the worker given the last one dies
+DYING_GRID = {"p": [2, 3, 5], "n": [2], "m": [1], "ell": [1], "e": [1]}
+DYING_TAGS = ("p2n2l1e1", "p3n2l1e1", "p5n2l1e1")
+
+
+def _exit_in_last_group(batch):
+    """Stands in for cli._sweep_group in forked pool workers.
+
+    The worker given the last group exits abruptly, but only once the job
+    files of the groups before it are on disk, so those groups have finished.
+    """
+    if batch[0]["spec"]["p"] != 5:
+        return _sweep_group(batch)
+    earlier = [Path("out", f"{cmd}_{tag}_m1.json")
+               for tag in DYING_TAGS[:-1] for cmd in ("hilbert", "orbits")]
+    deadline = time.monotonic() + 60
+    while not all(f.exists() for f in earlier) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os._exit(1)
+
+
 class TestSweep:
     def test_small_grid(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path)
@@ -674,6 +697,54 @@ class TestSweep:
             tmp_path, grid={"p": [2], "n": [2], "e": [5]})
         assert main(["sweep", "--manifest", str(manifest)]) == 2
         assert "no valid grid points" in capsys.readouterr().err
+
+    def test_parallel_writes_the_same_job_files(self, tmp_path, capsys):
+        # both m values and all four commands, so that each group holds
+        # several jobs, with ok, cap (Q^2 = 81 for p = 3, m = 2) and skip
+        # (gbcheck at ell = 0) jobs among them
+        grid = {"p": [2, 3], "n": [2], "m": [1, 2], "ell": [0, 1], "e": [1, 2]}
+        outputs = []
+        for jobs in ("1", "2"):
+            manifest = write_manifest(
+                tmp_path, grid=grid, commands=["hilbert", "gbcheck", "decompose", "orbits"],
+                output_dir=str(tmp_path / f"out{jobs}"),
+                caps={"max_monomials": 50, "max_points": 100000})
+            assert main(["sweep", "--manifest", str(manifest), "--jobs", jobs]) == 3
+            files = {f.name: f.read_bytes() for f in (tmp_path / f"out{jobs}").iterdir()}
+            outputs.append((capsys.readouterr().out, files))
+        (serial_out, serial_files), (pool_out, pool_files) = outputs
+        assert pool_out == serial_out
+        assert pool_files == serial_files
+        summary = json.loads(serial_out)
+        assert len(serial_files) == len(summary["jobs"]) == 48
+        assert all(summary["counts"][s] for s in ("ok", "cap", "skip"))
+
+    def test_sweep_group_renders_each_job_in_order(self, tmp_path):
+        manifest = json.loads(write_manifest(
+            tmp_path, grid={"p": [3], "n": [2], "m": [1, 2], "ell": [0], "e": [2]},
+            commands=["orbits", "gbcheck", "hilbert"]).read_text())
+        batch, _ = _expand_manifest(manifest)
+        assert len(batch) == 6
+        results = _sweep_group(batch)
+        assert results == [(_sweep_job(job)["status"], _dump_json(_sweep_job(job)))
+                           for job in batch]
+        assert {status for status, _ in results} == {"ok", "skip"}
+
+    def test_dead_worker_exits_3_and_keeps_finished_groups(
+            self, tmp_path, capsys, monkeypatch):
+        # forked workers inherit the replaced group runner
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_sweep_group", _exit_in_last_group)
+        manifest = write_manifest(tmp_path, grid=DYING_GRID, commands=["hilbert", "orbits"],
+                                  output_dir="out")
+        assert main(["sweep", "--manifest", str(manifest), "--jobs", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "worker died" in captured.err
+        written = sorted(f.name for f in (tmp_path / "out").iterdir())
+        assert written == sorted(f"{cmd}_{tag}_m1.json" for tag in DYING_TAGS[:-1]
+                                 for cmd in ("hilbert", "orbits"))
 
 
 class TestParser:

@@ -18,7 +18,8 @@ from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
     verify_decomposition, _a_terms, _b_mask, _binomial_pairs, _codes,
-    _fixed_by_diagonals, _monomial_table, _split_generators, _transvection_terms)
+    _fixed_by_diagonals, _monomial_positions, _monomial_table, _split_generators,
+    _transvection_terms)
 from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
@@ -445,13 +446,14 @@ class TestRewriting:
                 factor_prime_power(bad)
 
     def test_monomial_table_partition(self):
-        exps, starts, pos = _monomial_table(2, 3)
+        exps, starts = _monomial_table(2, 3)
         assert starts.tolist() == [0, 1, 3, 6, 8, 9]
         assert exps[:1].tolist() == [[0, 0]]
         assert exps[3:6].tolist() == [[0, 2], [1, 1], [2, 0]]
         # by degree, and each degree in itertools.product order
         for n, Q in ((2, 3), (3, 4), (4, 2)):
-            exps, starts, pos = _monomial_table(n, Q)
+            exps, starts = _monomial_table(n, Q)
+            pos = _monomial_positions(n, Q)
             product = list(itertools.product(range(Q), repeat=n))
             assert [tuple(a) for a in exps.tolist()] == sorted(product, key=sum)
             assert all(sum(a) == d for d in range(len(starts) - 1)
@@ -642,6 +644,38 @@ class TestIntegerCodeAssembly:
         spec = GroupSpec(p=46337, n=2, ell=1, e=46336)
         with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
             brute_force_hilbert(spec, 1, max_monomials=3 * 10 ** 9)
+
+    @pytest.mark.parametrize("n,Q", [(3, 27), (4, 27), (2, 729)])
+    @pytest.mark.parametrize("build", [_monomial_table, _monomial_positions],
+                             ids=lambda f: f.__name__)
+    def test_monomial_tables_peak_within_the_charge(self, monkeypatch, build, n, Q):
+        _monomial_table(n, Q)  # the positions' charge leaves out the table
+        charged = []
+        check = ff.check_budget
+
+        def record(nbytes, what):
+            charged.append(nbytes)
+            check(nbytes, what)
+
+        monkeypatch.setattr(invariants, "check_budget", record)
+        build.cache_clear()
+        tracemalloc.start()
+        try:
+            build(n, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged and peak <= max(charged)
+
+    def test_fixed_space_builds_no_positions(self, monkeypatch):
+        # only the A/B decomposition looks monomials up by code
+        def no_positions(n, Q):
+            raise AssertionError("the fixed space built the positions")
+
+        monkeypatch.setattr(invariants, "_monomial_positions", no_positions)
+        spec = GroupSpec(p=3, n=2, ell=1, e=2)
+        assert invariants._fixed_space(build_group(spec), spec.field, 2, 9)[0] == \
+            list(brute_force_hilbert(spec, 2).dims)
 
     def test_monomial_table_is_charged_before_it_exists(self, monkeypatch):
         # 46337^2 monomials would take 16 GiB of exponents
