@@ -29,7 +29,7 @@ import os
 import sys
 from pathlib import Path
 
-from .ff import CapExceeded, factor_prime_power
+from .ff import CapExceeded, check_cap, factor_prime_power
 from .group import GroupSpec
 from .invariants import (
     DEFAULT_MONOMIAL_CAP, brute_force_hilbert, full_gl_fixed_basis,
@@ -85,13 +85,6 @@ def _require_closed_form(spec):
         raise ValueError("no closed-form series for this group; use --mode brute")
 
 
-def _check_series_length(n, Q, cap):
-    """CapExceeded when a series through degree n(Q - 1) passes the monomial cap."""
-    length = n * (Q - 1) + 1
-    if length > cap:
-        raise CapExceeded(f"the series needs {length} coefficients, above the cap of {cap}")
-
-
 def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table.
 
@@ -119,7 +112,8 @@ def cmd_hilbert(args):
     if args.mode == "formula":
         # pretty output shows the whole series, the JSON and CSV the window
         _require_closed_form(spec)
-        _check_series_length(spec.n, spec.q ** args.m, args.max_monomials)
+        check_cap(spec.n * (spec.q ** args.m - 1) + 1, args.max_monomials,
+                  "the series", "coefficients")
         formula = hilbert_for_spec(spec, args.m)
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
@@ -236,7 +230,7 @@ def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None)
     truncate, by default through the last degree of either side.
     """
     factor_prime_power(q)  # an invalid q exits 2 before any cap
-    _check_series_length(n, q ** m, max_monomials)
+    check_cap(n * (q ** m - 1) + 1, max_monomials, "the series", "coefficients")
     series = lrs_conjecture(q, n, m)
     if not (q <= 3 and n <= 2 and m <= 2):
         return series, None, None
@@ -384,6 +378,11 @@ def _group_results(groups, workers):
         yield from pool.map(_sweep_group, groups)
 
 
+def _unwritable(exc):
+    """An output directory or job file that cannot be written is invalid input: exit 2."""
+    return ValueError(f"cannot write the sweep output: {exc}")
+
+
 def cmd_sweep(args):
     """Run a manifest's jobs, one group (spec tag) per task, and print a summary.
 
@@ -415,11 +414,17 @@ def cmd_sweep(args):
         groups.setdefault(tag, []).append(i)
     batches = [[jobs[i] for i in group] for group in groups.values()]
     outdir = Path(manifest["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(exc) from None
     statuses = [None] * len(jobs)
     for group, results in zip(groups.values(), _group_results(batches, workers)):
         for i, (status, text) in zip(group, results):
-            (outdir / names[i]).write_text(text)
+            try:
+                (outdir / names[i]).write_text(text)
+            except OSError as exc:
+                raise _unwritable(exc) from None
             statuses[i] = status
     counts = {status: statuses.count(status) for status in ("ok", "fail", "cap", "skip")}
     records = [{"command": job["command"], "spec": tag, "m": job["m"], "status": status,

@@ -49,6 +49,12 @@ class CapExceeded(RuntimeError):
     """An enumeration or matrix crossed its configured safety cap."""
 
 
+def check_cap(need, cap, subject, unit):
+    """CapExceeded when need units of an enumeration pass its cap."""
+    if need > cap:
+        raise CapExceeded(f"{subject} needs {need} {unit}, above the cap of {cap}")
+
+
 def _small_divisor(n):
     """Return a nontrivial divisor of n, or None if n is prime."""
     if n < 2:

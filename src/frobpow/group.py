@@ -105,9 +105,6 @@ class GroupElement:
     def __mul__(self, other):
         return GroupElement(self.mat * other.mat)
 
-    def inverse(self):
-        return GroupElement(self.mat.inverse())
-
     def __str__(self):
         return str(self.mat)
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CapExceeded, CodeEntries, MatrixFq, _code_dtype, _segments, check_budget, \
+from .ff import CodeEntries, MatrixFq, _code_dtype, _segments, check_budget, check_cap, \
     code_arithmetic, discrete_logs, factor_prime_power, make_field
 from .group import GroupElement, GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
@@ -196,9 +196,6 @@ class HilbertFunction:
 
     def __getitem__(self, d):
         return self.dims[d] if 0 <= d < len(self.dims) else 0
-
-    def to_json(self):
-        return {"dims": list(self.dims), "total": self.total}
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,16 +383,10 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
     return [len(b) for b in basis], basis
 
 
-def _check_cap(Q, n, cap):
-    if Q ** n > cap:
-        raise CapExceeded(
-            f"quotient needs {Q ** n} monomials, above the cap of {cap}")
-
-
 @functools.lru_cache(maxsize=None)
 def _brute_dims(spec, m, cap):
     Q = spec.q ** m
-    _check_cap(Q, spec.n, cap)
+    check_cap(Q ** spec.n, cap, "quotient", "monomials")
     return tuple(_fixed_space(build_group(spec), spec.field, spec.n, Q)[0])
 
 
@@ -409,7 +400,7 @@ def brute_force_hilbert(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree bases of the GL_n(F_q)-fixed space of S/m^[q^m] (tiny scale)."""
     field, Q = make_field(*factor_prime_power(q)), q ** m
-    _check_cap(Q, n, max_monomials)
+    check_cap(Q ** n, max_monomials, "quotient", "monomials")
     gens = full_gl_generators(field, n)
     if not gens:
         gens = [GroupElement(MatrixFq.identity(field, n))]
@@ -493,7 +484,7 @@ def _ab_ranks(spec, m, cap):
     built, and the expansion is freed before the elimination.
     """
     n, Q = spec.n, spec.q ** m
-    _check_cap(Q, n, cap)
+    check_cap(Q ** n, cap, "quotient", "monomials")
     exps, starts = _monomial_table(n, Q)
     pos = _monomial_positions(n, Q)
     b_col = np.flatnonzero(_b_mask(exps, spec, Q))

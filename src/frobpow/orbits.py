@@ -27,7 +27,7 @@ import dataclasses
 
 import numpy as np
 
-from .ff import CapExceeded, check_budget, code_arithmetic, embed, make_field
+from .ff import check_budget, check_cap, code_arithmetic, embed, make_field
 from .group import build_group
 
 DEFAULT_POINT_CAP = 10**6
@@ -131,11 +131,13 @@ def _enumerate_orbits(mats, big, n, total):
     return tuple(zip(sizes.tolist(), counts.tolist()))
 
 
-def _check_point_cap(total, cap):
-    if total > cap:
-        raise CapExceeded(
-            f"orbit enumeration needs {total} points, above the cap of {cap}"
-        )
+def _points(field, n, m, max_points):
+    """(q^{mn}, F_{q^m}): the point count of (F_{q^m})^n, within the cap, and its field."""
+    if m < 1:
+        raise ValueError("Frobenius exponent m must be at least 1")
+    total = field.order ** (m * n)
+    check_cap(total, max_points, "orbit enumeration", "points")
+    return total, make_field(field.p, field.r * m)
 
 
 def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):
@@ -145,11 +147,7 @@ def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):
     the q^{m(n-1)} points of the extended hyperplane are singletons and
     every other orbit has the full group order as its size.
     """
-    if m < 1:
-        raise ValueError("Frobenius exponent m must be at least 1")
-    total = spec.q ** (m * spec.n)
-    _check_point_cap(total, max_points)
-    big = make_field(spec.p, spec.r * m)
+    total, big = _points(spec.field, spec.n, m, max_points)
     mats = [g.mat for g in build_group(spec)]
     histogram = _enumerate_orbits(mats, big, spec.n, total)
     hist = dict(histogram)
@@ -183,8 +181,6 @@ def count_orbits_custom(gens, m, max_points=DEFAULT_POINT_CAP):
     and no match flag; callers compare against fixed-space dimensions
     themselves.
     """
-    if m < 1:
-        raise ValueError("Frobenius exponent m must be at least 1")
     mats = [getattr(g, "mat", g) for g in gens]
     if not mats:
         raise ValueError("need at least one generator matrix")
@@ -193,9 +189,7 @@ def count_orbits_custom(gens, m, max_points=DEFAULT_POINT_CAP):
     for mat in mats:
         if mat.field != base or mat.rows != n or mat.cols != n:
             raise ValueError("generators must be square matrices over one field")
-    total = base.order ** (m * n)
-    _check_point_cap(total, max_points)
-    big = make_field(base.p, base.r * m)
+    total, big = _points(base, n, m, max_points)
     histogram = _enumerate_orbits(mats, big, n, total)
     return OrbitReport(
         spec=None,

@@ -79,9 +79,6 @@ class MonomialOrder:
     def key(self, exps):
         return (sum(w * a for w, a in zip(self.weights, exps)), exps)
 
-    def degree(self, exps):
-        return sum(w * a for w, a in zip(self.weights, exps))
-
 
 def cmp(order, u, v):
     """-1, 0, or 1 as u <, =, > v under the order."""

@@ -190,65 +190,58 @@ def qt_binomial(m, k, q, D):
 
 # -- closed-form Hilbert series ----------------------------------------------
 
-def hilbert_main_fp(p, n, m, ell, e, D=None):
-    """Fixed-space Hilbert series for a transvection family over F_p.
+def _hyperplane_series(w, n, m, ell, e, D, label):
+    """The family series over a root field of size w, from every printed form.
 
-    Expands all three equivalent printed forms independently and insists
-    they agree; the returned series carries the first form as its label.
+    Expands the product form, the split form, the rational form and, when
+    e = w - 1, the (q,t)-binomial form independently and insists they agree;
+    the returned series carries the caller's label.
     """
-    GroupSpec(p=p, n=n, ell=ell, e=e)
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
-    P = p ** m
+    P = w ** m
     if D is None:
         D = n * (P - 1)
-    inner = _add(_geom((P - 1) // e, e), _shift(_pow(_geom(p, 1), ell), P - 1))
-    prefactor = _mul(_pow(_geom(P, 1), n - ell - 1), _pow(_geom(p ** (m - 1), p), ell))
-    form1 = _mul(prefactor, inner)
-    form2 = _add(_mul(prefactor, _geom((P - 1) // e, e)),
-                 _shift(_pow(_geom(P, 1), n - 1), P - 1))
+    prefactor = _mul(_pow(_geom(P, 1), n - ell - 1), _pow(_geom(w ** (m - 1), w), ell))
+    block = _geom((P - 1) // e, e)
+    tail = _shift(_pow(_geom(P, 1), n - 1), P - 1)
+    product = _mul(prefactor, _add(block, _shift(_pow(_geom(w, 1), ell), P - 1)))
+    split = _add(_mul(prefactor, block), tail)
     bracket = _add([1] + [0] * (P - 2) + [-1],
                    _shift(_mul([1] + [0] * (e - 1) + [-1],
-                               _pow(_geom(p, 1), ell)), P - 1))
+                               _pow(_geom(w, 1), ell)), P - 1))
     numer = _mul(_pow([1] + [0] * (P - 1) + [-1], n - 1), bracket)
-    expr = RationalExpr(
+    rational = expand(RationalExpr(
         tuple((c, d) for d, c in enumerate(numer) if c),
-        tuple([p] * ell + [1] * (n - ell - 1) + [e]))
-    form3 = expand(expr, D)
+        tuple([w] * ell + [1] * (n - ell - 1) + [e])), D)
+    out = _series(product, D, closed_form=label)
+    assert out.coeffs == _trim(split, D) == rational.coeffs, "printed forms disagree"
+    if e == w - 1:
+        binomial = _add(_mul(prefactor, _qt_poly(m, 1, w)), tail)
+        assert out.coeffs == _trim(binomial, D), "printed forms disagree"
+    return out
+
+
+def hilbert_main_fp(p, n, m, ell, e, D=None):
+    """Fixed-space Hilbert series for a transvection family over F_p."""
+    GroupSpec(p=p, n=n, ell=ell, e=e)
+    P = p ** m
     label = (f"((1-t^{P})/(1-t))^{n - ell - 1} ((1-t^{P})/(1-t^{p}))^{ell} "
              f"[(1-t^{P - 1})/(1-t^{e}) + t^{P - 1} ((1-t^{p})/(1-t))^{ell}]")
-    out = _series(form1, D, closed_form=label)
-    assert out.coeffs == _trim(form2, D) == form3.coeffs, "printed forms disagree"
-    return out
+    return _hyperplane_series(p, n, m, ell, e, D, label)
 
 
 def hilbert_stabilizer_fq(q, n, m, D=None):
-    """Fixed-space Hilbert series for the full hyperplane stabilizer in GL_n(F_q)."""
+    """Fixed-space Hilbert series for the full hyperplane stabilizer in GL_n(F_q).
+
+    It is the family series with root field F_q, ell = n - 1 and e = q - 1.
+    """
     p, r = factor_prime_power(q)
     GroupSpec(p=p, r=r, n=n, full_stabilizer=True)
-    if m < 1:
-        raise ValueError("Frobenius exponent m must be at least 1")
     Q = q ** m
-    if D is None:
-        D = n * (Q - 1)
-    prefactor = _pow(_geom(q ** (m - 1), q), n - 1)
-    form1 = _mul(prefactor, _add(_geom((Q - 1) // (q - 1), q - 1),
-                                 _shift(_pow(_geom(q, 1), n - 1), Q - 1)))
-    bracket = _add([1] + [0] * (Q - 2) + [-1],
-                   _shift(_mul([1] + [0] * (q - 2) + [-1],
-                               _pow(_geom(q, 1), n - 1)), Q - 1))
-    numer = _mul(_pow([1] + [0] * (Q - 1) + [-1], n - 1), bracket)
-    expr = RationalExpr(
-        tuple((c, d) for d, c in enumerate(numer) if c),
-        tuple([q] * (n - 1) + [q - 1]))
-    form2 = expand(expr, D)
-    form3 = _add(_mul(prefactor, _qt_poly(m, 1, q)),
-                 _shift(_mul(_pow(_geom(Q, 1), n - 1), _qt_poly(m, 0, q)), Q - 1))
     label = (f"((1-t^{Q})/(1-t^{q}))^{n - 1} "
              f"[(1-t^{Q - 1})/(1-t^{q - 1}) + t^{Q - 1} ((1-t^{q})/(1-t))^{n - 1}]")
-    out = _series(form1, D, closed_form=label)
-    assert out.coeffs == form2.coeffs == _trim(form3, D), "printed forms disagree"
-    return out
+    return _hyperplane_series(q, n, m, n - 1, q - 1, D, label)
 
 
 def hilbert_A(w, n, m, e, D=None):

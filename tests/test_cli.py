@@ -90,6 +90,18 @@ class TestHilbert:
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_HILBERT_FORMULA
 
+    @pytest.mark.parametrize("argv,label", [
+        (["--q", "4", "--n", "2", "--full-stabilizer"],
+         "((1-t^4)/(1-t^4))^1 [(1-t^3)/(1-t^3) + t^3 ((1-t^4)/(1-t))^1]"),
+        (["--p", "3", "--n", "3", "--ell", "1", "--e", "2"],
+         "((1-t^3)/(1-t))^1 ((1-t^3)/(1-t^3))^1 [(1-t^2)/(1-t^2) + t^2 ((1-t^3)/(1-t))^1]"),
+    ], ids=["stabilizer", "family"])
+    def test_closed_form_labels(self, capsys, argv, label):
+        # the stabilizer label has no ((1-t^Q)/(1-t))^0 factor, the family's does
+        code = main(["hilbert", *argv, "--m", "1", "--mode", "formula"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["series"]["closed_form"] == label
+
     def test_brute_mode(self, capsys):
         code = main(["hilbert", "--p", "3", "--n", "2", "--m", "1",
                      "--ell", "1", "--e", "2", "--mode", "brute"])
@@ -593,6 +605,33 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "cannot read the manifest" in err
         assert err.count("\n") == 1
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        manifest = write_manifest(tmp_path, output_dir=str(tmp_path / "taken"))
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("cannot write the sweep output: ")
+
+    def test_failed_job_file_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the second group's first file fails to write, as on a full disk
+        write_text = Path.write_text
+
+        def fail_on_p3(path, text):
+            if "_p3n2" in path.name:
+                raise OSError(28, "No space left on device")
+            return write_text(path, text)
+
+        monkeypatch.setattr(Path, "write_text", fail_on_p3)
+        manifest = write_manifest(tmp_path, grid={"p": [2, 3], "n": [2], "ell": [1], "e": [1]})
+        assert main(["sweep", "--manifest", str(manifest), "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cannot write the sweep output: [Errno 28] No space left on device\n"
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "hilbert_p2n2l1e1_m1.json", "orbits_p2n2l1e1_m1.json"]
 
     def test_non_integer_cap_exits_2(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, caps={"max_monomials": "x"})
