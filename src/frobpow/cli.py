@@ -29,6 +29,10 @@ import os
 import sys
 from pathlib import Path
 
+# Nothing here calls BLAS (every matrix product is on int64 codes), so skip the
+# idle OpenBLAS pool numpy starts on import; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ff import CapExceeded, check_cap, factor_prime_power
 from .group import GroupSpec
 from .invariants import (

@@ -55,32 +55,76 @@ def check_cap(need, cap, subject, unit):
         raise CapExceeded(f"{subject} needs {need} {unit}, above the cap of {cap}")
 
 
-def _small_divisor(n):
-    """Return a nontrivial divisor of n, or None if n is prime."""
+_TRIAL_LIMIT = 1000  # trial divisors stay below it, so it decides n < 999^2
+# Miller-Rabin to the 13 prime bases up to 41 is exact below psi_13, the least
+# strong pseudoprime to all of them (up to 37 it is exact only below psi_12)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _not_prime_reason(n):
+    """None if n is prime, else why not; ValueError past the exact range.
+
+    Trial division up to _TRIAL_LIMIT names the least divisor it finds, and a
+    deterministic Miller-Rabin test decides the rest in O(log n) products.
+    """
     if n < 2:
-        return n
-    if n % 2 == 0:
-        return 2 if n > 2 else None
-    d = 3
-    while d * d <= n:
+        return "less than 2"
+    for d in range(2, _TRIAL_LIMIT):
+        if d * d > n:
+            return None
         if n % d == 0:
-            return d
-        d += 2
+            return f"divisible by {d}"
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large for an exact primality test "
+                         f"(the limit is {_MILLER_RABIN_LIMIT})")
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return f"base {a} witnesses that it is composite"
     return None
 
 
+def _check_prime(p):
+    reason = _not_prime_reason(p)
+    if reason is not None:
+        raise ValueError(f"{p} is not prime ({reason})")
+
+
 def factor_prime_power(q):
-    """(p, r) with q = p^r, or ValueError if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = _small_divisor(q) or q
-    r = 0
-    while q % p == 0:
-        q //= p
-        r += 1
-    if q != 1:
-        raise ValueError(f"{q * p ** r} is not a prime power")
-    return p, r
+    """(p, r) with q = p^r, or ValueError if q is not a prime power.
+
+    Only the largest r for which q is a perfect r-th power can work: if
+    q = p^s, q is an r-th power exactly when r divides s, with root p^(s/r).
+    """
+    for r in range(q.bit_length(), 0, -1):
+        p = _iroot(q, r)
+        if p ** r == q:
+            if _not_prime_reason(p) is not None:
+                break
+            return p, r
+    raise ValueError(f"{q} is not a prime power")
+
+
+def _iroot(n, r):
+    """floor(n^(1/r)) for n >= 0, by Newton's method on integers."""
+    if n < 2 or r == 1:
+        return n
+    x = 1 << -(-n.bit_length() // r)  # above the root
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,9 +220,7 @@ class Field:
     modulus: tuple
 
     def __post_init__(self):
-        d = _small_divisor(self.p)
-        if d is not None:
-            raise ValueError(f"{self.p} is not prime (divisible by {d})")
+        _check_prime(self.p)
         if self.r < 1:
             raise ValueError("extension degree must be >= 1")
         if self.r == 1:
@@ -262,17 +304,21 @@ def make_field(p, r=1):
     """
     if r == 1:
         return Field(p, 1, (0, 1))
-    d = _small_divisor(p)
-    if d is not None:
-        raise ValueError(f"{p} is not prime (divisible by {d})")
+    _check_prime(p)
     if r < 1:
         raise ValueError("extension degree must be >= 1")
     if p > _MAX_CODE_PRIME:
-        # the modulus search would scan p candidates before the first irreducible
+        # no code arithmetic fits: even the prime field's products overflow
         raise ValueError(f"GF({p}^{r}) is too large for int64 code arithmetic: "
                          f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
-    for tail in itertools.product(range(p), repeat=r):
-        mod = list(tail) + [1]
+    # candidates in lex order, counted lazily from constant term 1: x divides
+    # every candidate before that, and itertools.product would build range(p)
+    for k in range(p ** (r - 1), p ** r):
+        mod = [1]
+        for _ in range(r):
+            k, c = divmod(k, p)
+            mod.append(c)
+        mod.reverse()
         if _is_irreducible(mod, p):
             return Field(p, r, tuple(mod))
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")

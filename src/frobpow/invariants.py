@@ -77,6 +77,7 @@ def basic_invariants(spec):
     polys = [xs[i] ** q - xs[i] * xs[n - 1] ** (q - 1) for i in range(spec.ell)]
     polys += xs[spec.ell:n - 1] + [xs[n - 1] ** spec.e]
     weights = [q] * spec.ell + [1] * (n - 1 - spec.ell) + [spec.e]
+    code_arithmetic(spec.field)  # refuse an int64 overflow before root_of_unity's scan
     for g in build_group(spec):
         inv = g.mat.inverse()
         for f in polys:

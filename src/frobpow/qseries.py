@@ -140,7 +140,10 @@ def _trim(a, D):
 
 
 def _series(poly, D, closed_form="", conjectural=False):
-    assert all(c == 0 for c in poly[D + 1:]), "support exceeds the bound"
+    degree = max((d for d, c in enumerate(poly) if c), default=0)
+    if D < degree:
+        raise ValueError(f"truncation bound D={D} is below the series degree "
+                         f"{degree}; the least valid D is {degree}")
     s = TruncatedSeries(_trim(poly, D), closed_form=closed_form,
                         conjectural=conjectural)
     assert all(c >= 0 for c in s.coeffs), "negative series coefficient"

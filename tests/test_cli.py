@@ -283,7 +283,7 @@ class TestGbcheck:
         assert "ell = n - 1" in capsys.readouterr().err
 
     def test_huge_extension_field_exits_2_quickly(self, capsys):
-        # refused before the modulus search, which would scan p candidates
+        # refused before the modulus search: no code arithmetic fits the field
         start = time.perf_counter()
         code = main(["gbcheck", "--p", "4294967311", "--r", "2", "--n", "2", "--m", "1",
                      "--full-stabilizer"])
@@ -294,12 +294,33 @@ class TestGbcheck:
 
     @pytest.mark.parametrize("p", ["3037000507", "4294967311"])
     def test_huge_prime_exits_2(self, capsys, p):
-        # the root-of-unity search counts field elements lazily, so the int64
-        # check of the code arithmetic is reached instead of a MemoryError
+        # the int64 check of the code arithmetic runs before the group is
+        # built, so the root-of-unity search never starts
         code = main(["gbcheck", "--p", p, "--n", "2", "--m", "1"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "too large for int64" in err
+
+
+class TestHugeFields:
+    # primality is a Miller-Rabin test, q splits by integer roots and the
+    # modulus search skips the p candidates divisible by x: no scan grows with p
+    @pytest.mark.parametrize("argv,code,message", [
+        (["hilbert", "--p", "2305843009213693951"], 3, "monomials, above the cap"),
+        (["gbcheck", "--p", "2305843009213693951"], 2, "too large for int64"),
+        (["hilbert", "--q", "1000006000009", "--full-stabilizer"], 3,
+         "monomials, above the cap"),
+    ])
+    def test_cap_or_refusal_comes_quickly(self, capsys, argv, code, message):
+        start = time.perf_counter()
+        assert main(argv + ["--n", "2", "--m", "1"]) == code
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_prime_past_the_exact_test_exits_2(self, capsys):
+        assert main(["hilbert", "--p", str(2 ** 89 - 1), "--n", "2", "--m", "1"]) == 2
+        assert "too large for an exact primality test" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -819,3 +840,26 @@ class TestParser:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["orbit_count"] == 3
+
+
+class TestStartup:
+    # numpy's OpenBLAS pool would spin an idle thread in every CLI process
+    PROBE = ("import json, os, frobpow.cli; task = '/proc/self/task'; "
+             "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], "
+             "len(os.listdir(task)) if os.path.isdir(task) else None]))")
+
+    def probe(self, **env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], env=base | env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def test_openblas_runs_on_the_calling_thread(self):
+        value, threads = self.probe()
+        assert value == "1"
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads")
+        assert threads == 1
+
+    def test_openblas_setting_of_the_user_is_kept(self):
+        assert self.probe(OPENBLAS_NUM_THREADS="3")[0] == "3"

@@ -32,6 +32,7 @@ from frobpow.ff import (
     block_ranks,
     code_arithmetic,
     embed,
+    factor_prime_power,
     make_field,
     nullspace,
     nullspace_codes,
@@ -94,7 +95,7 @@ def test_modulus_is_lex_smallest_irreducible(p, r):
 
 
 def test_make_field_refuses_huge_extension_fields():
-    # the modulus search would first scan the p reducible x^r + ... + c x
+    # no code arithmetic fits GF(p^r) once (p - 1)^2 overflows an int64
     with pytest.raises(ValueError, match="too large for int64"):
         make_field(4294967311, 2)
     assert make_field(3037000493).order == 3037000493
@@ -125,7 +126,60 @@ def test_make_field_rejects_bad_input():
         Field(5, 0, (0, 1))
     with pytest.raises(ValueError):
         Field(2, 1, (1, 1, 1))  # r = 1 takes the placeholder only
-    assert make_field(23).p == 23  # trial division walks odd candidates and exits
+    assert make_field(23).p == 23  # trial division stops once d^2 > p
+
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to every base up to 37
+
+
+def test_primality_matches_sympy():
+    from sympy import isprime
+    rng = random.Random(20261018)
+    cases = [*range(-2, 3000), *(rng.randrange(10 ** 6, 10 ** 22) for _ in range(400)),
+             561, 3215031751, 3825123056546413051, 2 ** 61 - 1, PSI_12,
+             (10 ** 6 + 3) * (10 ** 6 + 33), (10 ** 6 + 3) ** 2]
+    for n in cases:
+        assert (ff._not_prime_reason(n) is None) == isprime(n), n
+
+
+def test_primality_messages():
+    # trial division names the least divisor; Miller-Rabin names its witness
+    with pytest.raises(ValueError, match=r"^7000021 is not prime \(divisible by 7\)$"):
+        make_field(7 * 1000003)
+    with pytest.raises(ValueError, match=r"is not prime \(base 2 witnesses"):
+        make_field((10 ** 6 + 3) * (10 ** 6 + 33))
+    with pytest.raises(ValueError, match=r"is not prime \(base 41 witnesses"):
+        make_field(PSI_12)
+    with pytest.raises(ValueError, match="too large for an exact primality test"):
+        make_field(2 ** 89 - 1)  # prime, but past the range where the bases are exact
+    assert make_field(2 ** 61 - 1).order == 2 ** 61 - 1
+
+
+def test_factor_prime_power_by_integer_roots():
+    from sympy import factorint
+    for q in range(-2, 5000):
+        factors = factorint(q) if q > 1 else {}
+        if len(factors) == 1:
+            assert factor_prime_power(q) == next(iter(factors.items()))
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                factor_prime_power(q)
+    for p, r in [(10 ** 6 + 3, 2), (2 ** 61 - 1, 1), (2 ** 61 - 1, 3), (3, 40), (2, 200)]:
+        assert factor_prime_power(p ** r) == (p, r)
+    for q in [6 ** 5, ((10 ** 6 + 3) * (10 ** 6 + 33)) ** 2, 2 ** 20 * 3]:
+        with pytest.raises(ValueError, match="not a prime power"):
+            factor_prime_power(q)
+
+
+@pytest.mark.parametrize("p,modulus,tests", [(10007, (1, 0, 1), 1), (10009, (1, 5, 1), 6)])
+def test_modulus_search_starts_at_constant_term_one(monkeypatch, p, modulus, tests):
+    # the p candidates with constant term 0 are divisible by x and skipped
+    calls = []
+    real = ff._is_irreducible
+    monkeypatch.setattr(ff, "_is_irreducible", lambda mod, p: calls.append(mod) or real(mod, p))
+    field = make_field.__wrapped__(p, 2)  # bypass the cache
+    assert field.modulus == modulus
+    assert len(calls) == tests + 1  # the search, then Field's own validation
 
 
 # -- element arithmetic -----------------------------------------------------

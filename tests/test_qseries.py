@@ -357,3 +357,24 @@ class TestDispatcher:
     def test_truncation_override(self):
         s = hilbert_for_spec(GroupSpec(p=2, n=2, ell=1, e=1), 1, D=6)
         assert s.coeffs == (1, 1, 1, 0, 0, 0, 0)
+
+
+class TestTruncationBound:
+    BUILDERS = {
+        "main_fp": lambda D: hilbert_main_fp(3, 2, 1, 1, 2, D=D),
+        "stabilizer_fq": lambda D: hilbert_stabilizer_fq(4, 2, 1, D=D),
+        "for_spec": lambda D: hilbert_for_spec(GroupSpec(p=5, n=3, ell=2, e=4), 1, D),
+        "A": lambda D: hilbert_A(3, 2, 1, 2, D=D),
+        "B": lambda D: hilbert_B(4, 3, 1, D=D),
+        "conjecture": lambda D: lrs_conjecture(2, 2, 2, D=D),
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_bound_below_the_degree_raises(self, name):
+        build = self.BUILDERS[name]
+        full = build(None)
+        degree = max(d for d, c in enumerate(full.coeffs) if c)
+        for D in (0, degree - 1):
+            with pytest.raises(ValueError, match=f"the least valid D is {degree}$"):
+                build(D)
+        assert build(degree).coeffs == full.coeffs[:degree + 1]
