@@ -89,15 +89,23 @@ def _require_closed_form(spec):
         raise ValueError("no closed-form series for this group; use --mode brute")
 
 
+def _check_truncate(truncate, max_monomials):
+    """A truncation degree lists truncate + 1 coefficients: the series cap bounds it."""
+    if truncate is not None:
+        check_cap(truncate + 1, max_monomials, "the series", "coefficients")
+
+
 def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table.
 
     Brute force runs first, so its cap on the Q^n monomials also bounds the
-    series length n(Q - 1) + 1 before the series is built.
+    series length n(Q - 1) + 1 before the series is built; the same cap
+    bounds the table's truncation degree.
     """
     base = {"spec": spec.to_json(), "m": m, "mode": mode}
     if mode == "both":
         _require_closed_form(spec)
+        _check_truncate(truncate, max_monomials)
     brute = brute_force_hilbert(spec, m, max_monomials)
     if mode == "brute":
         return base | {"dims": list(brute.dims), "total": brute.total}, "ok"
@@ -118,6 +126,7 @@ def cmd_hilbert(args):
         _require_closed_form(spec)
         check_cap(spec.n * (spec.q ** args.m - 1) + 1, args.max_monomials,
                   "the series", "coefficients")
+        _check_truncate(args.truncate, args.max_monomials)
         formula = hilbert_for_spec(spec, args.m)
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
@@ -228,13 +237,15 @@ def cmd_resolution2d(args):
 def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """(series, brute dims, match) for the conjectured full-GL series.
 
-    The series length n(q^m - 1) + 1 is capped by max_monomials.  Brute
-    force runs only where it is feasible (q <= 3, n <= 2, m <= 2), and
-    elsewhere dims and match are None.  match compares every degree through
-    truncate, by default through the last degree of either side.
+    The series length n(q^m - 1) + 1 and the truncate + 1 degrees compared
+    are capped by max_monomials.  Brute force runs only where it is feasible
+    (q <= 3, n <= 2, m <= 2), and elsewhere dims and match are None.  match
+    compares every degree through truncate, by default through the last
+    degree of either side.
     """
     factor_prime_power(q)  # an invalid q exits 2 before any cap
     check_cap(n * (q ** m - 1) + 1, max_monomials, "the series", "coefficients")
+    _check_truncate(truncate, max_monomials)
     series = lrs_conjecture(q, n, m)
     if not (q <= 3 and n <= 2 and m <= 2):
         return series, None, None

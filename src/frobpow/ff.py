@@ -26,10 +26,13 @@ pivot becomes that column's pivot, and all other rows are reduced by their
 columns' pivots in one merge of sorted keys.  A matrix takes as many rounds
 as its longest chain of pivot dependencies, far fewer than its pivots.
 :func:`block_ranks` ranks independent column blocks in one elimination;
-:func:`rank_codes`, :func:`nullspace_codes` and :meth:`MatrixFq.inverse`
-wrap the same kernel for dense arrays, the last two with a back-reduction
-to the RREF, again in rounds.  Every elimination charges what it holds
-against MATRIX_BYTE_CAP before it allocates it.
+:func:`rank_codes` and :func:`nullspace_codes` wrap the same kernel for
+dense arrays, the latter with a back-reduction to the canonical nullspace,
+again in rounds.  Every elimination charges what it holds against
+MATRIX_BYTE_CAP before it allocates it.  The kernel only ranks and takes
+nullspaces: the n x n matrices of group elements take their determinant
+and inverse from :class:`MatrixFq`'s own small Gauss-Jordan elimination
+over field elements.
 """
 
 from __future__ import annotations
@@ -295,6 +298,21 @@ class Field:
     __repr__ = __str__
 
 
+def check_field_params(p, r):
+    """ValueError unless make_field(p, r) can build GF(p^r), without its modulus search.
+
+    p must be prime and r >= 1; an extension also needs code arithmetic, whose
+    residue products overflow an int64 past p = _MAX_CODE_PRIME.
+    """
+    _check_prime(p)
+    if r < 1:
+        raise ValueError("extension degree must be >= 1")
+    if r > 1 and p > _MAX_CODE_PRIME:
+        # no code arithmetic fits: even the prime field's products overflow
+        raise ValueError(f"GF({p}^{r}) is too large for int64 code arithmetic: "
+                         f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p, r=1):
     """The canonical GF(p^r): lexicographically smallest irreducible modulus.
@@ -302,15 +320,9 @@ def make_field(p, r=1):
     >>> make_field(2, 2).modulus
     (1, 1, 1)
     """
+    check_field_params(p, r)
     if r == 1:
         return Field(p, 1, (0, 1))
-    _check_prime(p)
-    if r < 1:
-        raise ValueError("extension degree must be >= 1")
-    if p > _MAX_CODE_PRIME:
-        # no code arithmetic fits: even the prime field's products overflow
-        raise ValueError(f"GF({p}^{r}) is too large for int64 code arithmetic: "
-                         f"(p - 1)^2 must fit in 63 bits, so p <= {_MAX_CODE_PRIME}")
     # candidates in lex order, counted lazily from constant term 1: x divides
     # every candidate before that, and itertools.product would build range(p)
     for k in range(p ** (r - 1), p ** r):
@@ -530,6 +542,13 @@ class MatrixFq:
     def identity(cls, field, n):
         return cls.from_rows(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @classmethod
+    def elementary(cls, field, n, i, j, value):
+        """The n x n identity with entry (i, j) set to value."""
+        entries = list(cls.identity(field, n).entries)
+        entries[i * n + j] = field.elem(value)
+        return cls(field, n, n, tuple(entries))
+
     def entry(self, i, j):
         return self.entries[i * self.cols + j]
 
@@ -563,40 +582,41 @@ class MatrixFq:
             for i in range(self.rows)
         )
 
+    def _gauss_jordan(self):
+        """(det, inverse or None) of a square matrix, by Gauss-Jordan on [self | I]."""
+        n, field = self.rows, self.field
+        unit = MatrixFq.identity(field, n)
+        work = [list(self.row(i) + unit.row(i)) for i in range(n)]
+        det = field.one()
+        for col in range(n):
+            piv = next((i for i in range(col, n) if work[i][col]), None)
+            if piv is None:
+                return field.zero(), None
+            if piv != col:
+                work[col], work[piv] = work[piv], work[col]
+                det = -det
+            det = det * work[col][col]
+            scale = work[col][col].inverse()
+            work[col] = [v * scale if v else v for v in work[col]]
+            for i in range(n):
+                factor = work[i][col]
+                if i != col and factor:
+                    work[i] = [a - factor * b if b else a
+                               for a, b in zip(work[i], work[col])]
+        return det, MatrixFq(field, n, n, tuple(v for row in work for v in row[n:]))
+
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        work = [list(self.row(i)) for i in range(self.rows)]
-        out = self.field.one()
-        for col in range(self.cols):
-            piv = next((i for i in range(col, self.rows) if work[i][col]), None)
-            if piv is None:
-                return self.field.zero()
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                out = -out
-            out = out * work[col][col]
-            inv = work[col][col].inverse()
-            for i in range(col + 1, self.rows):
-                factor = work[i][col] * inv
-                if factor:
-                    for j in range(col, self.cols):
-                        work[i][j] = work[i][j] - factor * work[col][j]
-        return out
+        return self._gauss_jordan()[0]
 
     def inverse(self):
         if self.rows != self.cols:
             raise ValueError("only square matrices invert")
-        n = self.rows
-        aug = np.zeros((n, 2 * n), dtype=np.int64)
-        aug[:, :n] = _codes_matrix(self)
-        aug[np.arange(n), n + np.arange(n)] = 1  # the code of one in every field
-        rref, pivots = _rref_codes(aug, self.field)
-        if pivots != list(range(n)):
+        inv = self._gauss_jordan()[1]
+        if inv is None:
             raise ValueError("matrix not invertible")
-        inv = rref[:, n:]
-        entries = tuple(self.field.decode(int(c)) for c in inv.ravel())
-        return MatrixFq(self.field, n, n, entries)
+        return inv
 
     def to_json(self):
         return [[self.entry(i, j).to_json() for j in range(self.cols)] for i in range(self.rows)]
@@ -605,13 +625,6 @@ class MatrixFq:
         return "[" + "; ".join(
             " ".join(str(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
         ) + "]"
-
-
-def _codes_matrix(m):
-    return np.array(
-        [[m.field.encode(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)],
-        dtype=np.int64,
-    ).reshape(m.rows, m.cols)
 
 
 def _code_dtype(p):
@@ -760,7 +773,7 @@ class CodeEntries:
     checks that the shape fits 63 bits and charges ``capacity`` entries
     against MATRIX_BYTE_CAP before it allocates; :meth:`add` appends
     entries, whose codes must be canonical and nonzero.  An elimination
-    (:meth:`block_ranks`, :meth:`rref`, :meth:`nullspace`) consumes them.
+    (:meth:`block_ranks`, :meth:`nullspace`) consumes them.
     Positions and columns are held as ``index``: int32 while the budget
     admits fewer than 2^31 entries, as it does by default.
     """
@@ -948,16 +961,6 @@ class CodeEntries:
             self._reduce(keep, heads[row[dirty]], codes.neg(live[dirty] & vmask),
                          live, heads[src] + 1, counts[src] - 1, 0)
 
-    def rref(self):
-        """Reduced row echelon form: (rows in the code dtype, pivot columns)."""
-        live, pcols = self._back_reduce()
-        cs, rs, dtype = self.col_shift, self.row_shift, self.codes.dtype
-        self._charge(len(live), f"a {len(pcols)} x {self.ncols} echelon form",
-                     len(pcols) * self.ncols * np.dtype(dtype).itemsize)
-        out = np.zeros((len(pcols), self.ncols), dtype=dtype)
-        out[live >> rs, live >> cs & (1 << (rs - cs)) - 1] = live & (1 << cs) - 1
-        return out, pcols.tolist()
-
     def nullspace(self):
         """Right-nullspace basis in the canonical parameterization: one row per
         free column, ascending, with a one there and zeros at the other free
@@ -990,11 +993,6 @@ def block_ranks(rows, cols, codes, col_bounds, field):
     return entries.block_ranks(col_bounds)
 
 
-def _rref_codes(a, field):
-    """Reduced row echelon form of an integer-code matrix: (rows, pivot columns)."""
-    return CodeEntries.from_dense(a, field).rref()
-
-
 def nullspace_codes(a, field):
     """Right-nullspace basis of an integer-code matrix, canonical parameterization.
 
@@ -1016,6 +1014,6 @@ def rank_codes(a, field):
 
 def nullspace(m):
     """Basis of the right nullspace of a MatrixFq, canonical free-variable form."""
-    codes = _codes_matrix(m) if m.rows else np.zeros((0, m.cols), dtype=np.int64)
-    basis = nullspace_codes(codes, m.field)
+    codes = np.array([m.field.encode(v) for v in m.entries], dtype=np.int64)
+    basis = nullspace_codes(codes.reshape(m.rows, m.cols), m.field)
     return [tuple(m.field.decode(int(c)) for c in row) for row in basis]

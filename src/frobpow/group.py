@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ff import CapExceeded, MatrixFq, make_field, rank_codes, root_of_unity
+from .ff import CapExceeded, MatrixFq, check_field_params, make_field, rank_codes, \
+    root_of_unity
 from .poly import substitute_linear
 
 ENUM_CAP = 10_000_000
@@ -35,7 +36,7 @@ class GroupSpec:
     full_stabilizer: bool = False
 
     def __post_init__(self):
-        make_field(self.p, self.r)  # validates primality and r >= 1
+        check_field_params(self.p, self.r)  # the field itself is built on first use
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")
         q = self.p ** self.r
@@ -96,46 +97,27 @@ class GroupSpec:
         )
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An invertible matrix acting on column vectors v -> mat v."""
-
-    mat: MatrixFq
-
-    def __mul__(self, other):
-        return GroupElement(self.mat * other.mat)
-
-    def __str__(self):
-        return str(self.mat)
-
-
-def _transvection(field, n, k, gamma):
-    # I + gamma*E_{k,n}: adds gamma*v_n to v_k, dually x_k -> x_k - gamma*x_n
-    rows = [[field.elem(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows[k][n - 1] = field.elem(gamma)
-    return GroupElement(MatrixFq.from_rows(field, rows))
-
-
 def _diagonal(field, n, omega):
-    rows = [[field.elem(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows[n - 1][n - 1] = omega
-    return GroupElement(MatrixFq.from_rows(field, rows))
+    return MatrixFq.elementary(field, n, n - 1, n - 1, omega)
 
 
 def build_group(spec):
-    """Generator list in the normalized basis: diagonal first, then transvections."""
+    """Generator matrices, acting on column vectors v -> g v, in the normalized
+    basis: diagonal first, then transvections.
+
+    The transvection I + gamma E_{k,n} adds gamma v_n to v_k, dually
+    x_k -> x_k - gamma x_n.
+    """
     field, n = spec.field, spec.n
     gens = []
     if spec.e > 1:
         gens.append(_diagonal(field, n, root_of_unity(field, spec.e)))
     if spec.full_stabilizer:
         basis = [field.elem([0] * i + [1]) for i in range(spec.r)]
-        for k in range(n - 1):
-            for gamma in basis:
-                gens.append(_transvection(field, n, k, gamma))
+        gammas = [(k, gamma) for k in range(n - 1) for gamma in basis]
     else:
-        for k in range(spec.ell):
-            gens.append(_transvection(field, n, k, 1))
+        gammas = [(k, 1) for k in range(spec.ell)]
+    gens += [MatrixFq.elementary(field, n, k, n - 1, gamma) for k, gamma in gammas]
     return gens
 
 
@@ -143,9 +125,7 @@ def enumerate_elements(gens, cap=ENUM_CAP):
     """Closure of the generators under multiplication, breadth-first."""
     if not gens:
         raise ValueError("enumeration needs at least one generator for the field")
-    field = gens[0].mat.field
-    n = gens[0].mat.rows
-    identity = GroupElement(MatrixFq.identity(field, n))
+    identity = MatrixFq.identity(gens[0].field, gens[0].rows)
     seen = {identity}
     order = [identity]
     frontier = [identity]
@@ -168,7 +148,7 @@ def group_elements(spec, cap=ENUM_CAP):
     """All elements of the spec's group; the count must match the order formula."""
     gens = build_group(spec)
     if not gens:
-        return [GroupElement(MatrixFq.identity(spec.field, spec.n))]
+        return [MatrixFq.identity(spec.field, spec.n)]
     elements = enumerate_elements(gens, cap)
     assert len(elements) == spec.group_order, (
         f"closure found {len(elements)} elements, formula gives {spec.group_order}"
@@ -178,7 +158,7 @@ def group_elements(spec, cap=ENUM_CAP):
 
 def act(g, f):
     """Action on polynomials: f -> f o g^{-1}, a left action on functions."""
-    return substitute_linear(f, g.mat.inverse())
+    return substitute_linear(f, g.inverse())
 
 
 def root_vector(g, l=None):
@@ -187,18 +167,17 @@ def root_vector(g, l=None):
     Requires g to fix ker(x_l) pointwise.  g is a transvection exactly when
     alpha is a nonzero vector of the hyperplane.
     """
-    mat = g.mat
-    n = mat.rows
+    n = g.rows
     col = (n if l is None else l) - 1
-    field = mat.field
+    field = g.field
     for i in range(n):
         for j in range(n):
             if j == col:
                 continue
-            d = mat.entry(i, j) - (field.one() if i == j else field.zero())
+            d = g.entry(i, j) - (field.one() if i == j else field.zero())
             if d:
                 raise ValueError("element does not fix the hyperplane pointwise")
-    alpha = tuple(mat.entry(i, col) - (field.one() if i == col else field.zero())
+    alpha = tuple(g.entry(i, col) - (field.one() if i == col else field.zero())
                   for i in range(n))
     if not any(alpha):
         return None
@@ -207,7 +186,7 @@ def root_vector(g, l=None):
 
 def is_transvection(g, l=None):
     alpha = root_vector(g, l)
-    n = g.mat.rows
+    n = g.rows
     col = (n if l is None else l) - 1
     return alpha is not None and not alpha[col]
 
@@ -219,29 +198,20 @@ def transvection_rootspace_dim(elements, l=None):
         alpha = root_vector(g, l)
         if alpha is None:
             continue
-        n = g.mat.rows
+        n = g.rows
         col = (n if l is None else l) - 1
         if alpha[col]:
             continue  # semisimple: root leaves the hyperplane
         rows.append([c for coord in alpha for c in coord.coeffs])
     if not rows:
         return 0
-    return rank_codes(rows, make_field(elements[0].mat.field.p))
+    return rank_codes(rows, make_field(elements[0].field.p))
 
 
 def full_gl_generators(field, n):
     """Generators of all of GL_n(F_q); used only by tiny brute-force checks."""
-    gens = []
-    if n == 1:
-        if field.order > 2:
-            gens.append(_diagonal(field, 1, root_of_unity(field, field.order - 1)))
-        return gens
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rows = [[field.elem(1 if a == b else 0) for b in range(n)] for a in range(n)]
-                rows[i][j] = field.one()
-                gens.append(GroupElement(MatrixFq.from_rows(field, rows)))
+    gens = [MatrixFq.elementary(field, n, i, j, 1)
+            for i in range(n) for j in range(n) if i != j]
     if field.order > 2:
         gens.append(_diagonal(field, n, root_of_unity(field, field.order - 1)))
     return gens

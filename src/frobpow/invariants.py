@@ -42,7 +42,7 @@ import numpy as np
 
 from .ff import CodeEntries, MatrixFq, _code_dtype, _segments, check_budget, check_cap, \
     code_arithmetic, discrete_logs, factor_prime_power, make_field
-from .group import GroupElement, GroupSpec, build_group, full_gl_generators
+from .group import GroupSpec, build_group, full_gl_generators
 from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
 
 DEFAULT_MONOMIAL_CAP = 10 ** 6
@@ -78,11 +78,10 @@ def basic_invariants(spec):
     polys += xs[spec.ell:n - 1] + [xs[n - 1] ** spec.e]
     weights = [q] * spec.ell + [1] * (n - 1 - spec.ell) + [spec.e]
     code_arithmetic(spec.field)  # refuse an int64 overflow before root_of_unity's scan
+    # substitution is a right action, so f o g^{-1} = f exactly when f o g = f
     for g in build_group(spec):
-        inv = g.mat.inverse()
         for f in polys:
-            image = substitute_linear(f, inv)
-            assert image == f, "generator fails to fix a basic invariant"
+            assert substitute_linear(f, g) == f, "generator fails to fix a basic invariant"
     return BasicInvariants(tuple(polys), tuple(weights))
 
 
@@ -293,8 +292,7 @@ def _split_generators(gens, Q):
     is the code of c^j, j < Q.  Any other generator is a ValueError.
     """
     logs, moves = [], []
-    for g in gens:
-        mat = g.mat
+    for mat in gens:
         diag = [mat.entry(i, i) for i in range(mat.rows)]
         off = [(i, j) for i in range(mat.rows) for j in range(mat.cols)
                if i != j and mat.entry(i, j)]
@@ -307,7 +305,7 @@ def _split_generators(gens, Q):
             c = int(log[mat.field.encode(-mat.entry(k, l))])
             moves.append((k, l, exp[np.arange(Q) * c % (mat.field.order - 1)]))
         else:
-            raise ValueError(f"generator {g} is neither diagonal nor an elementary transvection")
+            raise ValueError(f"generator {mat} is neither diagonal nor an elementary transvection")
     return logs, moves
 
 
@@ -404,7 +402,7 @@ def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     check_cap(Q ** n, max_monomials, "quotient", "monomials")
     gens = full_gl_generators(field, n)
     if not gens:
-        gens = [GroupElement(MatrixFq.identity(field, n))]
+        gens = [MatrixFq.identity(field, n)]
     return _fixed_space(gens, field, n, Q, want_basis=True)[1]
 
 

@@ -131,13 +131,14 @@ def _enumerate_orbits(mats, big, n, total):
     return tuple(zip(sizes.tolist(), counts.tolist()))
 
 
-def _points(field, n, m, max_points):
-    """(q^{mn}, F_{q^m}): the point count of (F_{q^m})^n, within the cap, and its field."""
+def _points(p, r, n, m, max_points):
+    """(q^{mn}, F_{q^m}) for q = p^r: the point count of (F_{q^m})^n, within the
+    cap, and its field, which is built only once the cap has passed."""
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
-    total = field.order ** (m * n)
+    total = p ** (r * m * n)
     check_cap(total, max_points, "orbit enumeration", "points")
-    return total, make_field(field.p, field.r * m)
+    return total, make_field(p, r * m)
 
 
 def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):
@@ -147,9 +148,8 @@ def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):
     the q^{m(n-1)} points of the extended hyperplane are singletons and
     every other orbit has the full group order as its size.
     """
-    total, big = _points(spec.field, spec.n, m, max_points)
-    mats = [g.mat for g in build_group(spec)]
-    histogram = _enumerate_orbits(mats, big, spec.n, total)
+    total, big = _points(spec.p, spec.r, spec.n, m, max_points)
+    histogram = _enumerate_orbits(build_group(spec), big, spec.n, total)
     hist = dict(histogram)
     fixed = spec.q ** (m * (spec.n - 1))
     order = spec.group_order
@@ -176,21 +176,19 @@ def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):
 def count_orbits_custom(gens, m, max_points=DEFAULT_POINT_CAP):
     """Enumerate orbits for an arbitrary generator list, asserting nothing.
 
-    Exploratory variant: gens are matrices (or group elements) over a common
-    base field, acting on (F_{q^m})^n.  The report carries no formula value
-    and no match flag; callers compare against fixed-space dimensions
-    themselves.
+    Exploratory variant: gens are matrices over a common base field,
+    acting on (F_{q^m})^n.  The report carries no formula value and no
+    match flag; callers compare against fixed-space dimensions themselves.
     """
-    mats = [getattr(g, "mat", g) for g in gens]
-    if not mats:
+    if not gens:
         raise ValueError("need at least one generator matrix")
-    base = mats[0].field
-    n = mats[0].rows
-    for mat in mats:
+    base = gens[0].field
+    n = gens[0].rows
+    for mat in gens:
         if mat.field != base or mat.rows != n or mat.cols != n:
             raise ValueError("generators must be square matrices over one field")
-    total, big = _points(base, n, m, max_points)
-    histogram = _enumerate_orbits(mats, big, n, total)
+    total, big = _points(base.p, base.r, n, m, max_points)
+    histogram = _enumerate_orbits(gens, big, n, total)
     return OrbitReport(
         spec=None,
         m=m,

@@ -322,6 +322,44 @@ class TestHugeFields:
         assert main(["hilbert", "--p", str(2 ** 89 - 1), "--n", "2", "--m", "1"]) == 2
         assert "too large for an exact primality test" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,message", [
+        ("hilbert", "monomials, above the cap"), ("decompose", "monomials, above the cap"),
+        ("orbits", "points, above the cap")])
+    def test_long_extension_is_capped_before_its_modulus_search(
+            self, capsys, command, message):
+        # GroupSpec checks p and r without building GF(2^200), whose modulus
+        # search alone takes seconds, so the cap fires first
+        start = time.perf_counter()
+        assert main([command, "--p", "2", "--r", "200", "--n", "2", "--m", "1",
+                     "--full-stabilizer"]) == 3
+        assert time.perf_counter() - start < 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+
+class TestTruncateCap:
+    # a truncation degree lists truncate + 1 coefficients, under the series cap
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--p", "2", "--n", "2", "--mode", "formula"],
+        ["hilbert", "--p", "2", "--n", "2", "--mode", "both"],
+        ["conjecture", "--q", "2", "--n", "2"]],
+        ids=["hilbert-formula", "hilbert-both", "conjecture"])
+    def test_huge_truncate_exits_3_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(argv + ["--m", "1", "--truncate", "100000000"]) == 3
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "the series needs 100000001 coefficients, above the cap of 1000000"]
+
+    def test_truncate_within_the_cap_still_runs(self, capsys):
+        assert main(["conjecture", "--q", "2", "--n", "1", "--m", "1", "--truncate", "9",
+                     "--max-monomials", "10"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["series"]["coeffs"]) == 10
+        assert main(["conjecture", "--q", "2", "--n", "1", "--m", "1", "--truncate", "10",
+                     "--max-monomials", "10"]) == 3
+
 
 class TestDecompose:
     def test_archetype(self, capsys):

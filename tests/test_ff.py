@@ -26,7 +26,6 @@ from frobpow.ff import (
     Field,
     FieldElem,
     MatrixFq,
-    _rref_codes,
     _tables,
     binom_mod_p,
     block_ranks,
@@ -389,7 +388,7 @@ def test_nullspace_matches_loop_reference(fe, nr, nc, seed):
     f, _ = fe
     rng = random.Random(seed)
     rows = [[rng.choice([0, rng.randrange(f.order)]) for _ in range(nc)] for _ in range(nr)]
-    rref, pivots = _rref_codes(np.array(rows), f)
+    rref, pivots = _per_pivot_rref(rows, f)
     free = [c for c in range(nc) if c not in pivots]
     expected = np.zeros((len(free), nc), dtype=np.int64)
     for k, fc in enumerate(free):
@@ -445,6 +444,24 @@ def _per_pivot_rref(a, field):
             a[other] = submul(a[other], a[other, col], a[rank])
         pivots.append(col)
     return a[:len(pivots)], pivots
+
+
+def _rref_from_nullspace(a, field):
+    """(RREF rows, pivot columns) read back from nullspace_codes(a).
+
+    The canonical nullspace and the pivot list determine the RREF: a free
+    column is the last nonzero of its basis row, and the RREF row of pivot
+    column c holds, at each free column, the negated basis entry at c.
+    """
+    basis = nullspace_codes(a, field)
+    ncols = np.shape(a)[1]
+    free = [int(np.flatnonzero(row)[-1]) for row in basis]
+    pivots = [c for c in range(ncols) if c not in free]
+    rows = np.zeros((len(pivots), ncols), dtype=np.int64)
+    rows[np.arange(len(pivots)), pivots] = 1
+    if free:
+        rows[:, free] = code_arithmetic(field).neg(basis[:, pivots]).T
+    return rows, pivots
 
 
 def _dense_echelon(a, field):
@@ -529,7 +546,7 @@ def test_kernel_matches_per_pivot_loop(field):
         expected_rows, expected_pivots = _per_pivot_rref(a, field)
         a = a.astype(dtype)
         before = a.copy()
-        rows, pivots = _rref_codes(a, field)
+        rows, pivots = _rref_from_nullspace(a, field)
         assert pivots == expected_pivots
         assert np.array_equal(rows, expected_rows)
         assert rank_codes(a, field) == len(expected_pivots)
@@ -611,11 +628,11 @@ def test_block_ranks_match_per_block_references(field):
 def test_kernel_degenerate_shapes():
     for field in KERNEL_FIELDS:
         for shape in ((0, 4), (4, 0), (0, 0)):
-            rows, pivots = _rref_codes(np.zeros(shape, dtype=np.int64), field)
+            rows, pivots = _rref_from_nullspace(np.zeros(shape, dtype=np.int64), field)
             assert pivots == [] and rows.shape == (0, shape[1])
             assert rank_codes(np.zeros(shape, dtype=np.int64), field) == 0
         for code in (0, 1, field.order - 1):
-            rows, pivots = _rref_codes(np.array([[code]]), field)
+            rows, pivots = _rref_from_nullspace(np.array([[code]]), field)
             assert rows.tolist() == ([[1]] if code else []) and pivots == ([0] if code else [])
             assert rank_codes([[code]], field) == (1 if code else 0)
         assert block_ranks(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
@@ -732,7 +749,7 @@ def test_degenerate_shapes():
     assert rank_codes(np.zeros((0, 5), dtype=np.int64), F5) == 0
     assert nullspace_codes([], F5).shape == (0, 0)
     assert nullspace_codes(np.zeros((2, 0), dtype=np.int64), F5).shape == (0, 0)
-    assert _rref_codes(np.zeros((2, 0), dtype=np.int64), F5)[1] == []
+    assert _rref_from_nullspace(np.zeros((2, 0), dtype=np.int64), F5)[1] == []
     assert _ppowmod([0, 1], 0, [1, 1, 1], 2) == [1]
     assert MatrixFq.from_rows(F2, []).rows == 0
 
@@ -760,10 +777,10 @@ def test_int64_headroom():
     m = MatrixFq.from_rows(F, [[3, p - 2], [p - 5, 7]])
     assert m * m.inverse() == MatrixFq.identity(F, 2)
     for p in (3037000507, 4294967311):
+        # FieldElem arithmetic is exact at any size; only code arithmetic refuses
         F = make_field(p)
         m = MatrixFq.from_rows(F, [[3, p - 2], [p - 5, 7]])
-        with pytest.raises(ValueError, match="too large for int64"):
-            m.inverse()
+        assert m * m.inverse() == MatrixFq.identity(F, 2)
         with pytest.raises(ValueError, match="too large for int64"):
             rank_codes([[1, 2]], F)
 
@@ -778,6 +795,30 @@ def test_matrix_det():
     assert m.det() == x * x - F4.one()
     with pytest.raises(ValueError):
         MatrixFq.from_rows(F5, [[1, 2, 3]]).det()
+
+
+@st.composite
+def square_pairs(draw):
+    # 0, 1 and -1 come often, so singular matrices come often in every field
+    f = draw(st.sampled_from([F2, F5, F4, F9, make_field(3037000493)]))
+    n = draw(st.integers(0, 4))
+    code = st.one_of(st.sampled_from([0, 1, f.order - 1]), st.integers(0, f.order - 1))
+    square = st.lists(st.lists(code, min_size=n, max_size=n), min_size=n, max_size=n)
+    return f, n, *(MatrixFq.from_rows(f, [[f.decode(c) for c in row] for row in draw(square)])
+                   for _ in range(2))
+
+
+@given(square_pairs())
+@settings(max_examples=300)
+def test_det_and_inverse_agree(case):
+    f, n, a, b = case
+    assert (a * b).det() == a.det() * b.det()
+    for m in (a, b, a * b):
+        if not m.det():
+            with pytest.raises(ValueError, match="not invertible"):
+                m.inverse()
+            continue
+        assert m * m.inverse() == MatrixFq.identity(f, n) == m.inverse() * m
 
 
 def test_matrix_apply_matches_mul():

@@ -11,7 +11,6 @@ import pytest
 
 from frobpow.ff import CapExceeded, MatrixFq, make_field, nullspace
 from frobpow.group import (
-    GroupElement,
     GroupSpec,
     act,
     build_group,
@@ -30,7 +29,7 @@ ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
 
 
 def _mat_ints(g):
-    return [[int(str(c)) for c in g.mat.row(i)] for i in range(g.mat.rows)]
+    return [[int(str(c)) for c in g.row(i)] for i in range(g.rows)]
 
 
 # -- spec validation --------------------------------------------------------
@@ -92,7 +91,7 @@ def test_trivial_group():
     spec = GroupSpec(p=5, n=3, ell=0, e=1)
     els = group_elements(spec)
     assert len(els) == 1
-    assert els[0].mat == MatrixFq.identity(F5, 3)
+    assert els[0] == MatrixFq.identity(F5, 3)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -119,7 +118,7 @@ def test_closure_reproduces_from_shuffled_generators():
     shuffled = list(gens)
     rng.shuffle(shuffled)
     again = enumerate_elements(shuffled)
-    assert {g.mat for g in again} == {g.mat for g in els}
+    assert set(again) == set(els)
 
 
 # -- element properties -----------------------------------------------------
@@ -140,12 +139,12 @@ def test_elements_fix_hyperplane_and_reflect(spec):
     field, n = spec.field, spec.n
     identity = MatrixFq.identity(field, n)
     for g in els:
-        assert g.mat.det()
+        assert g.det()
         for j in range(n - 1):
             basis_vec = tuple(field.elem(1 if i == j else 0) for i in range(n))
-            assert g.mat.apply(basis_vec) == basis_vec
-        if g.mat != identity:
-            diff_rows = [[g.mat.entry(i, j) - identity.entry(i, j) for j in range(n)]
+            assert g.apply(basis_vec) == basis_vec
+        if g != identity:
+            diff_rows = [[g.entry(i, j) - identity.entry(i, j) for j in range(n)]
                          for i in range(n)]
             fixed = nullspace(MatrixFq.from_rows(field, diff_rows))
             assert len(fixed) == n - 1  # a reflection: fixed space is the hyperplane
@@ -154,13 +153,13 @@ def test_elements_fix_hyperplane_and_reflect(spec):
 @pytest.mark.parametrize("spec", SAMPLE_SPECS, ids=str)
 def test_determinant_character(spec):
     els = group_elements(spec)
-    dets = {spec.field.encode(g.mat.det()) for g in els}
+    dets = {spec.field.encode(g.det()) for g in els}
     assert len(dets) == spec.e  # the determinant image is cyclic of order e
-    kernel = [g for g in els if g.mat.det() == spec.field.one()]
+    kernel = [g for g in els if g.det() == spec.field.one()]
     assert len(kernel) * spec.e == len(els)
     for g in els:
         if is_transvection(g):
-            assert g.mat.det() == spec.field.one()
+            assert g.det() == spec.field.one()
 
 
 # -- root vectors -----------------------------------------------------------
@@ -174,11 +173,11 @@ def test_root_vector_archetype():
     alpha_n = root_vector(diag)
     assert alpha_n[-1]  # semisimple root leaves the hyperplane
     assert not is_transvection(diag)
-    assert root_vector(GroupElement(MatrixFq.identity(F5, 3))) is None
+    assert root_vector(MatrixFq.identity(F5, 3)) is None
 
 
 def test_root_vector_rejects_non_stabilizer():
-    g = GroupElement(MatrixFq.from_rows(F5, [[1, 1], [1, 1]]))
+    g = MatrixFq.from_rows(F5, [[1, 1], [1, 1]])
     with pytest.raises(ValueError, match="hyperplane"):
         root_vector(g)
 
@@ -198,7 +197,7 @@ def test_root_vector_reconstructs_action():
                     v.append(field.decode(c))
                 v = tuple(v)
                 expect = tuple(vi + v[n - 1] * ai for vi, ai in zip(v, alpha))
-                assert g.mat.apply(v) == expect
+                assert g.apply(v) == expect
 
 
 def test_rootspace_dimensions():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from frobpow import ff, invariants
 from frobpow.ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, make_field
 from frobpow.group import (
-    GroupElement, GroupSpec, act, build_group, full_gl_generators, group_elements)
+    GroupSpec, act, build_group, full_gl_generators, group_elements)
 from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
@@ -89,6 +89,16 @@ class TestBasicInvariants:
         b = basic_invariants(spec)
         assert poly_str(b.polys[1]) == "1*x2"
         assert b.weights == (5, 1, 2)
+
+    def test_checks_generators_without_inverting_them(self, monkeypatch):
+        # substitution is a right action, so f o g = f is the whole check
+        def refuse(self):
+            raise AssertionError("basic_invariants inverted a generator")
+
+        monkeypatch.setattr(MatrixFq, "inverse", refuse)
+        basic_invariants.cache_clear()
+        for spec in SMALL_SPECS + [ARCHETYPE, GroupSpec(p=2, r=2, n=2, full_stabilizer=True)]:
+            assert len(basic_invariants(spec).polys) == spec.n
 
 
 class TestHGenerators:
@@ -498,7 +508,7 @@ class TestIntegerCodeAssembly:
             logs, moves = _split_generators([g], Q)
             if logs:
                 continue
-            image = monomial_images(g.mat.inverse(), ring)
+            image = monomial_images(g.inverse(), ring)
             # every monomial is a column; a row is its itertools.product rank
             exps = _monomial_table(n, Q)[0]
             monos = [tuple(a) for a in exps.tolist()]
@@ -526,7 +536,7 @@ class TestIntegerCodeAssembly:
         assert dims == counts == [len(vectors) for vectors in basis]
         assert len(basis) == n * (Q - 1) + 1
         ring = PolyRing(field, n)
-        images = [monomial_images(g.mat.inverse(), ring) for g in gens]
+        images = [monomial_images(g.inverse(), ring) for g in gens]
         for d, vectors in enumerate(basis):
             for vec in vectors:
                 assert vec and {sum(mono) for mono in vec} == {d}
@@ -542,11 +552,11 @@ class TestIntegerCodeAssembly:
     @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
     def test_diagonal_congruence_matches_field_product(self, case):
         gens, field, n, Q = case
-        for g in gens + [GroupElement(MatrixFq.identity(field, n))]:
+        for g in gens + [MatrixFq.identity(field, n)]:
             logs, moves = _split_generators([g], Q)
             if moves:
                 continue
-            inv = [g.mat.entry(i, i).inverse() for i in range(n)]
+            inv = [g.entry(i, i).inverse() for i in range(n)]
             exps = _monomial_table(n, Q)[0]
             keep = _fixed_by_diagonals(exps, logs, field.order - 1)
             for a, kept in zip(exps.tolist(), keep):
@@ -587,7 +597,7 @@ class TestIntegerCodeAssembly:
     def test_other_generators_are_rejected(self):
         field = make_field(3)
         for rows in ([[1, 1], [1, 2]], [[2, 1], [0, 1]], [[1, 1, 1], [0, 1, 0], [0, 0, 1]]):
-            g = GroupElement(MatrixFq.from_rows(field, rows))
+            g = MatrixFq.from_rows(field, rows)
             with pytest.raises(ValueError, match="neither diagonal nor"):
                 _split_generators([g], 9)
 

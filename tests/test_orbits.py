@@ -265,12 +265,12 @@ class TestAgainstSearch:
     @pytest.mark.parametrize("spec,m", [(spec, m) for spec in SMALL_SPECS for m in (1, 2)
                                         if spec.q ** (m * spec.n) <= 5000], ids=str)
     def test_spec_groups(self, spec, m):
-        mats = [g.mat for g in build_group(spec)]
+        mats = build_group(spec)
         assert count_orbits_custom(mats, m).histogram == _bfs_histogram(mats, m)
 
     @pytest.mark.parametrize("q,n,m", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
     def test_full_gl(self, q, n, m):
-        mats = [g.mat for g in full_gl_generators(make_field(*factor_prime_power(q)), n)]
+        mats = full_gl_generators(make_field(*factor_prime_power(q)), n)
         assert count_orbits_custom(mats, m).histogram == _bfs_histogram(mats, m)
 
     @pytest.mark.parametrize("m", [1, 2])
