@@ -23,6 +23,8 @@ grid points violating the group constraints are skipped and counted.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import itertools
 import json
 import os
@@ -32,14 +34,19 @@ from pathlib import Path
 # Nothing here calls BLAS (every matrix product is on int64 codes), so skip the
 # idle OpenBLAS pool numpy starts on import; a value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# At exit the interpreter would collect and free every object, mostly cyclic
+# garbage left once the module dicts are cleared, which the OS reclaims anyway;
+# frozen objects are out of the collector's reach.  Unlike os._exit, this still
+# flushes stdio and runs every other atexit handler.
+atexit.register(gc.freeze)
 
-from .ff import CapExceeded, check_cap, factor_prime_power
+# Only the layers every check runs load here; the others load inside the
+# functions that call them.
+from .ff import DEFAULT_MONOMIAL_CAP, DEFAULT_POINT_CAP, CapExceeded, check_cap, \
+    factor_prime_power
 from .group import GroupSpec
-from .invariants import (
-    DEFAULT_MONOMIAL_CAP, brute_force_hilbert, full_gl_fixed_basis,
-    h_generators, verify_decomposition)
-from .orbits import DEFAULT_POINT_CAP, count_orbits_enum
-from .qseries import has_closed_form, hilbert_for_spec, lrs_conjecture
+from .invariants import brute_force_hilbert, full_gl_fixed_basis, h_generators, \
+    verify_decomposition
 
 SWEEP_COMMANDS = ("hilbert", "gbcheck", "decompose", "orbits")
 EXIT_CODES = {"ok": 0, "fail": 1}
@@ -85,6 +92,8 @@ def _emit(fmt, data, csv_rows, pretty_lines):
 # -- hilbert ----------------------------------------------------------------
 
 def _require_closed_form(spec):
+    from .qseries import has_closed_form
+
     if not has_closed_form(spec):
         raise ValueError("no closed-form series for this group; use --mode brute")
 
@@ -109,6 +118,8 @@ def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None
     brute = brute_force_hilbert(spec, m, max_monomials)
     if mode == "brute":
         return base | {"dims": list(brute.dims), "total": brute.total}, "ok"
+    from .qseries import hilbert_for_spec
+
     formula = hilbert_for_spec(spec, m)
     top = max(len(brute.dims) - 1, formula.truncation) if truncate is None else truncate
     table = [[d, formula[d], brute[d], formula[d] == brute[d]] for d in range(top + 1)]
@@ -127,6 +138,8 @@ def cmd_hilbert(args):
         check_cap(spec.n * (spec.q ** args.m - 1) + 1, args.max_monomials,
                   "the series", "coefficients")
         _check_truncate(args.truncate, args.max_monomials)
+        from .qseries import hilbert_for_spec
+
         formula = hilbert_for_spec(spec, args.m)
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
@@ -192,6 +205,8 @@ def cmd_decompose(args):
 
 def run_orbits(spec, m, max_points=DEFAULT_POINT_CAP):
     """``orbits``: enumerated orbit count against the closed formula."""
+    from .orbits import count_orbits_enum
+
     report = count_orbits_enum(spec, m, max_points)
     return report.to_json(), "ok" if report.match else "fail"
 
@@ -246,6 +261,8 @@ def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None)
     factor_prime_power(q)  # an invalid q exits 2 before any cap
     check_cap(n * (q ** m - 1) + 1, max_monomials, "the series", "coefficients")
     _check_truncate(truncate, max_monomials)
+    from .qseries import lrs_conjecture
+
     series = lrs_conjecture(q, n, m)
     if not (q <= 3 and n <= 2 and m <= 2):
         return series, None, None
@@ -353,6 +370,8 @@ def _spec_tag(spec):
 
 def _sweep_job(job):
     """One grid point, one subcommand: its payload plus command and status."""
+    from .qseries import has_closed_form
+
     spec = GroupSpec.from_json(job["spec"])
     command, m, caps = job["command"], job["m"], job["caps"]
     try:
@@ -388,6 +407,10 @@ def _group_results(groups, workers):
         yield from map(_sweep_group, groups)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
+
+    # loaded once here, the layers the jobs may run are inherited by every
+    # forked worker instead of compiled in each
+    from . import groebner, orbits, qseries  # noqa: F401
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_sweep_group, groups)

@@ -650,18 +650,29 @@ def discrete_logs(field):
     return exp, log
 
 
+def check_table_budget(p, r):
+    """CapExceeded when the lookup tables of GF(p^r), r > 1, would pass MATRIX_BYTE_CAP.
+
+    The two tables, one q x q temporary, a few vectors and the 64 KiB buffer
+    of numpy's gather are charged.  Only p and r are needed, so a caller can
+    charge them before make_field's modulus search; r = 1 has no tables.
+    """
+    if r > 1:
+        q = p ** r
+        check_budget((3 * q + 16) * q * _code_dtype(p).itemsize + 2 ** 17,
+                     f"tabulating GF({q})")
+
+
 @functools.lru_cache(maxsize=None)
 def _tables(field):
     """(add, mul, neg, inv) lookup tables over integer codes, for r > 1 fields.
 
     Built in the code dtype from :func:`discrete_logs`, with one q x q pass
-    per base-p digit for the sums.  The two tables, one q x q temporary, a
-    few vectors and the 64 KiB buffer of numpy's gather are charged against
-    MATRIX_BYTE_CAP first.
+    per base-p digit for the sums, after :func:`check_table_budget`.
     """
     q, p = field.order, field.p
     dtype = _code_dtype(p)
-    check_budget((3 * q + 16) * q * dtype.itemsize + 2 ** 17, f"tabulating GF({q})")
+    check_table_budget(p, field.r)
     exp, log = discrete_logs(field)
     codes = np.arange(q, dtype=dtype)
     add, tmp = np.zeros((q, q), dtype=dtype), np.empty((q, q), dtype=dtype)
@@ -737,6 +748,8 @@ def code_arithmetic(field):
 # -- sparse elimination -----------------------------------------------------
 
 MATRIX_BYTE_CAP = 512 * 2 ** 20  # memory budget of one elimination, monomial list or table set
+DEFAULT_MONOMIAL_CAP = 10 ** 6  # quotient monomials a brute-force fixed space may list
+DEFAULT_POINT_CAP = 10 ** 6  # points an orbit enumeration may label
 # What elimination holds at its peak per stored entry: the key, the merged
 # copy of a round, the sort buffer and the gathered pivot tails, or, in the
 # pivot search, the row starts, lengths and leading columns.  Matrices of

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .ff import CapExceeded, MatrixFq, check_field_params, make_field, rank_codes, \
     root_of_unity
-from .poly import substitute_linear
 
 ENUM_CAP = 10_000_000
 
@@ -158,6 +157,8 @@ def group_elements(spec, cap=ENUM_CAP):
 
 def act(g, f):
     """Action on polynomials: f -> f o g^{-1}, a left action on functions."""
+    from .poly import substitute_linear  # building a group needs no polynomials
+
     return substitute_linear(f, g.inverse())
 
 

@@ -40,12 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import CodeEntries, MatrixFq, _code_dtype, _segments, check_budget, check_cap, \
-    code_arithmetic, discrete_logs, factor_prime_power, make_field
+from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, MatrixFq, _code_dtype, _segments, \
+    check_budget, check_cap, check_table_budget, code_arithmetic, discrete_logs, \
+    factor_prime_power, make_field
 from .group import GroupSpec, build_group, full_gl_generators
-from .poly import PolyRing, reduce_mod_frobenius, substitute_linear
-
-DEFAULT_MONOMIAL_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -60,6 +58,8 @@ class BasicInvariants:
         return self.polys[0].ring
 
     def f_ring(self):
+        from .poly import PolyRing
+
         return PolyRing(self.ring.field, self.ring.n, weights=self.weights, prefix="f")
 
 
@@ -71,6 +71,9 @@ def basic_invariants(spec):
     for the full stabilizer, so the binomials x_i^q - x_i x_n^(q-1), i < ell,
     cover the prime-field family and the full stabilizer alike.
     """
+    from .poly import PolyRing, substitute_linear  # only the Groebner checks need polynomials
+
+    check_table_budget(spec.p, spec.r)  # before spec.field's modulus search
     n, q = spec.n, spec.q
     ring = PolyRing(spec.field, n)
     xs = [ring.variable(i) for i in range(n)]
@@ -137,6 +140,8 @@ def h_generators(spec, m):
         raise ValueError("Frobenius exponent m must be at least 1")
     if spec.ell != spec.n - 1:
         raise ValueError("h-generators need ell = n - 1 or the full stabilizer")
+    from .poly import reduce_mod_frobenius
+
     basics = basic_invariants(spec)
     n, e, w = spec.n, spec.e, spec.q
     P = w ** m

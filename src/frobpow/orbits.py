@@ -27,10 +27,8 @@ import dataclasses
 
 import numpy as np
 
-from .ff import check_budget, check_cap, code_arithmetic, embed, make_field
+from .ff import DEFAULT_POINT_CAP, check_budget, check_cap, code_arithmetic, embed, make_field
 from .group import build_group
-
-DEFAULT_POINT_CAP = 10**6
 
 
 @dataclasses.dataclass(frozen=True)

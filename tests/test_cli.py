@@ -324,11 +324,12 @@ class TestHugeFields:
 
     @pytest.mark.parametrize("command,message", [
         ("hilbert", "monomials, above the cap"), ("decompose", "monomials, above the cap"),
-        ("orbits", "points, above the cap")])
+        ("orbits", "points, above the cap"), ("gbcheck", "tabulating GF(")])
     def test_long_extension_is_capped_before_its_modulus_search(
             self, capsys, command, message):
         # GroupSpec checks p and r without building GF(2^200), whose modulus
-        # search alone takes seconds, so the cap fires first
+        # search alone takes seconds, so the cap fires first; gbcheck charges
+        # the field's tables from p and r before basic_invariants builds it
         start = time.perf_counter()
         assert main([command, "--p", "2", "--r", "200", "--n", "2", "--m", "1",
                      "--full-stabilizer"]) == 3
@@ -901,3 +902,53 @@ class TestStartup:
 
     def test_openblas_setting_of_the_user_is_kept(self):
         assert self.probe(OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+    # a check loads only the layers it runs: each import compiles its source
+    # anew wherever bytecode is not written
+    FOOTPRINT = ("import contextlib, io, json, sys; from frobpow import cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(sys.argv[1:])\n"
+                 "print(json.dumps([code, sorted(m for m in sys.modules "
+                 "if m.startswith('frobpow'))]))")
+    SPEC = ["--p", "3", "--n", "2", "--m", "1"]
+    CORE = ["frobpow", "frobpow.cli", "frobpow.ff", "frobpow.group", "frobpow.invariants"]
+
+    @pytest.mark.parametrize("argv,extra", [
+        (["hilbert", "--mode", "brute"], []),
+        (["decompose"], []),
+        (["hilbert", "--mode", "both"], ["qseries"]),
+        (["gbcheck"], ["groebner", "poly", "qseries"]),
+    ], ids=["brute", "decompose", "both", "gbcheck"])
+    def test_a_check_loads_only_its_layers(self, argv, extra):
+        proc = subprocess.run([sys.executable, "-c", self.FOOTPRINT, *argv, *self.SPEC],
+                              capture_output=True, text=True, check=True)
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        assert modules == sorted(self.CORE + [f"frobpow.{name}" for name in extra])
+
+    def test_exit_freezes_the_heap_after_every_other_handler(self):
+        # atexit runs last in, first out, so a probe registered before the
+        # import runs after the freeze that frobpow.cli registers
+        probe = ("import atexit, gc; "
+                 "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+                 "import frobpow.cli")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "True\n"
+
+    @pytest.mark.parametrize("argv,code", [
+        (["conjecture", "--q", "2", "--n", "2", "--m", "11", "--format", "csv"], 0),
+        (["orbits", "--p", "3", "--n", "2", "--m", "1", "--format", "pretty"], 0),
+        (["hilbert", "--p", "4", "--n", "2", "--m", "1"], 2),
+        (["hilbert", "--p", "3", "--n", "2", "--m", "2", "--max-monomials", "5"], 3),
+    ], ids=["long-csv", "pretty", "exit-2", "exit-3"])
+    def test_a_process_prints_what_main_returns(self, capsys, argv, code):
+        # the frozen exit must still flush stdout to its last byte: the CSV
+        # series runs past 30 KiB, longer than the stdio buffer
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "frobpow.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == code
+        assert proc.stdout == expected.out
+        assert proc.stderr == expected.err

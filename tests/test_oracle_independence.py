@@ -2,7 +2,8 @@
 forms through imports, and the closed forms never reach brute force.
 
 The imports are read from the source with ast, those inside functions
-included, and followed transitively within the package.
+included, and followed transitively within the package.  The same walk,
+kept to module level, bounds what importing the command line loads.
 """
 
 import ast
@@ -12,10 +13,22 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frobpow"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 
-def package_imports(module):
-    """The package modules that one module's source imports, anywhere in it."""
+def _nodes(tree, functions):
+    """ast.walk, kept out of function bodies unless functions is true."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if functions or not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                              ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def package_imports(module, functions=True):
+    """The package modules that one module's source imports, anywhere in it,
+    or only where they run on import if functions is false."""
     found = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in _nodes(ast.parse((PACKAGE / f"{module}.py").read_text()), functions):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -31,11 +44,11 @@ def package_imports(module):
     return found
 
 
-def closure(module):
+def closure(module, functions=True):
     """Every package module that module reaches through imports, itself excluded."""
     seen, todo = set(), [module]
     while todo:
-        for name in package_imports(todo.pop()) - seen:
+        for name in package_imports(todo.pop(), functions) - seen:
             seen.add(name)
             todo.append(name)
     return seen - {module}
@@ -44,7 +57,14 @@ def closure(module):
 def test_the_walk_sees_imports_inside_functions():
     # cli imports groebner only inside the gbcheck and resolution2d commands
     assert "groebner" in package_imports("cli")
+    assert "groebner" not in package_imports("cli", functions=False)
     assert {"invariants", "qseries", "orbits", "groebner"} <= closure("cli")
+
+
+def test_importing_the_command_line_loads_only_what_every_check_runs():
+    # the series, orbit, polynomial and Groebner layers load inside the
+    # functions that call them, so a brute-force check never compiles them
+    assert closure("cli", functions=False) == {"ff", "group", "invariants"}
 
 
 def test_brute_force_never_reaches_the_closed_forms():
