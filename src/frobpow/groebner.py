@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .ff import DEFAULT_MONOMIAL_CAP, CapExceeded, check_cap
 from .group import GroupSpec
 from .invariants import basic_invariants, expand_f, h_generators
 from .poly import divide, leading_monomial, poly_str, reduce_mod_frobenius
@@ -98,7 +99,7 @@ def _complete_basis(hlist, order, max_basis=60):
         if r.terms:
             basis.append(r)
             if len(basis) > max_basis:
-                raise RuntimeError("completion exceeded the basis cap")
+                raise CapExceeded("completion exceeded the basis cap")
             queue += [(i, len(basis) - 1) for i in range(len(basis) - 1)]
     return basis
 
@@ -235,6 +236,8 @@ def resolution_2d(p, m, e, ell=1):
     spec = GroupSpec(p=p, n=2, ell=ell, e=e)
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
+    # the series are compared through degree D = 2p^m + e
+    check_cap(2 * p ** m + e + 1, DEFAULT_MONOMIAL_CAP, "the series", "coefficients")
     basics = basic_invariants(spec)
     fring = basics.f_ring()
     F, E = fring.variable(0), fring.variable(1)

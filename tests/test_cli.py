@@ -236,6 +236,23 @@ class TestHilbert:
         assert main(argv + ["--max-monomials", "4"]) == 3
         assert "series needs 5 coefficients, above the cap of 4" in capsys.readouterr().err
 
+    def test_series_past_the_budget_exits_3(self, capsys):
+        # inside a raised series cap, but its lists are charged to the budget first
+        start = time.perf_counter()
+        code = main(["hilbert", "--p", "131", "--n", "2", "--m", "3", "--mode", "formula",
+                     "--max-monomials", "10000000"])
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "a series of 4496181 coefficients needs" in err
+
+    def test_long_formula_series_runs(self, capsys):
+        # 89371 coefficients of p = 31, n = 3, m = 3, every closed form expanded
+        assert main(["hilbert", "--p", "31", "--n", "3", "--m", "3", "--mode", "formula"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(data["series"]["coeffs"]) == 89371
+        assert data["total"] == 31 ** 6 + 31 ** 4 * (31 ** 3 - 1) // 30
+
     def test_bad_prime_power_exits_2(self, capsys):
         code = main(["hilbert", "--q", "12", "--n", "2", "--m", "1"])
         assert code == 2
@@ -456,6 +473,18 @@ class TestResolution2D:
     def test_invalid_e_exits_2(self, capsys):
         code = main(["resolution2d", "--p", "5", "--m", "1", "--e", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "2", "--m", "40", "--e", "1"],
+        ["--p", "2", "--m", "40", "--e", "1", "--ell", "0"],
+        ["--p", "31", "--m", "5", "--e", "30", "--ell", "0"],
+    ], ids=" ".join)
+    def test_series_past_the_cap_exits_3_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(["resolution2d"] + argv) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "coefficients, above the cap of 1000000" in err
 
 
 class TestConjecture:

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from frobpow import groebner
+from frobpow.ff import CapExceeded
 from frobpow.group import GroupSpec
 from frobpow.groebner import (
-    BuchbergerReport, SyzygyVector, _s_polynomial, buchberger_check,
+    BuchbergerReport, SyzygyVector, _complete_basis, _s_polynomial, buchberger_check,
     initial_ideal_hilbert, leading_monomials, resolution_2d, subduct)
 from frobpow.invariants import basic_invariants, expand_f, h_generators
 from frobpow.poly import divide, leading_monomial, poly_str, reduce_mod_frobenius
@@ -139,6 +141,15 @@ class TestBuchberger:
         rep = buchberger_check(h_generators(spec, m), from_scratch=True)
         assert rep.ok
         assert rep.completed_size == len(rep.names)
+
+    def test_completion_past_its_cap_is_a_cap(self):
+        # not a Groebner basis: its one S-pair leaves a remainder, the third element
+        fring = basic_invariants(GroupSpec(p=3, n=2, ell=1, e=2)).f_ring()
+        F, E = fring.variable(0), fring.variable(1)
+        hlist, order = [F ** 2 + E, F * E + 1], fring.order()
+        assert len(_complete_basis(hlist, order)) == 3
+        with pytest.raises(CapExceeded, match="completion exceeded the basis cap"):
+            _complete_basis(hlist, order, max_basis=2)
 
     @pytest.mark.parametrize("spec,m", [
         (GroupSpec(p=2, n=2, ell=1, e=1), 2),
@@ -276,3 +287,21 @@ class TestResolution2D:
             resolution_2d(3, 0, 2)
         with pytest.raises(ValueError, match="must divide"):
             resolution_2d(5, 1, 3)
+
+    @pytest.mark.parametrize("p,m,e,ell", [(2, 40, 1, 1), (2, 40, 1, 0), (31, 5, 30, 0)],
+                             ids=str)
+    def test_series_past_the_cap_is_refused_first(self, monkeypatch, p, m, e, ell):
+        def no_invariants(spec):
+            raise AssertionError("built the invariants before the series cap")
+
+        monkeypatch.setattr(groebner, "basic_invariants", no_invariants)
+        with pytest.raises(CapExceeded, match=f"needs {2 * p ** m + e + 1} coefficients"):
+            resolution_2d(p, m, e, ell)
+
+    def test_series_cap_admits_its_bound(self, monkeypatch):
+        # D + 1 = 2p^m + e + 1 coefficients, checked against the default cap
+        monkeypatch.setattr(groebner, "DEFAULT_MONOMIAL_CAP", 2 * 3 ** 2 + 2 + 1)
+        assert resolution_2d(3, 2, 2).ok
+        monkeypatch.setattr(groebner, "DEFAULT_MONOMIAL_CAP", 2 * 3 ** 2 + 2)
+        with pytest.raises(CapExceeded, match="needs 21 coefficients, above the cap of 20"):
+            resolution_2d(3, 2, 2)

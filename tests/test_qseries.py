@@ -1,9 +1,13 @@
 """Series expansion, Gaussian and (q,t)-binomials, closed-form Hilbert series."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobpow import ff, qseries
+from frobpow.ff import CapExceeded
 from frobpow.group import GroupSpec
 from frobpow.invariants import (
     a_space_dims, b_space_dims, brute_force_hilbert, full_gl_fixed_basis)
@@ -55,6 +59,55 @@ class TestExpand:
         assert str(TruncatedSeries((0, 0))) == "0"
         assert s.to_json() == {"coeffs": [1, 0, 2], "truncation": 2, "closed_form": "f"}
         assert s[2] == 2 and s[5] == 0 and s[-1] == 0
+
+
+def schoolbook_mul(a, b):
+    """The dense product the closed forms were once built from, kept as a reference."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def geometric(count, stride):
+    """[count]_{t^stride} = (1 - t^{count stride}) / (1 - t^stride), densely."""
+    out = [0] * ((count - 1) * stride + 1)
+    out[::stride] = [1] * count
+    return out
+
+
+class TestRatio:
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+           st.lists(st.tuples(st.integers(1, 4), st.integers(1, 7)), max_size=4),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80)
+    def test_matches_products_of_geometric_blocks(self, a, blocks, rng):
+        # each (1 - t^u)/(1 - t^v) with v | u is the block [u/v]_{t^v}; the
+        # factors are shuffled apart, so divisions need not follow their own up
+        want = list(a)
+        for count, stride in blocks:
+            want = schoolbook_mul(want, geometric(count, stride))
+        ups = [count * stride for count, stride in blocks]
+        downs = [stride for _, stride in blocks]
+        rng.shuffle(ups)
+        rng.shuffle(downs)
+        assert qseries._ratio(a, ups, downs) == want
+
+    def test_plain_factors(self):
+        assert qseries._ratio([2, 1], [3]) == [2, 1, 0, -2, -1]
+        assert qseries._ratio([1, 0, -1], (), [1]) == [1, 1]
+        assert qseries._ratio([4]) == [4]
+
+    @pytest.mark.parametrize("a,ups,downs", [
+        ([1], (), (2,)), ([1], (3,), (2,)), ([1, 1], (4,), (1, 1, 1, 1, 1)),
+    ])
+    def test_inexact_division_raises(self, a, ups, downs):
+        with pytest.raises(AssertionError, match="remainder"):
+            qseries._ratio(a, ups, downs)
 
 
 class TestGaussianBinomial:
@@ -133,7 +186,7 @@ class TestMainSeries:
         assert hilbert_main_fp(5, 3, 1, 2, 4).total == 26
         assert hilbert_main_fp(5, 3, 1, 2, 1).total == 29
 
-    @pytest.mark.parametrize("p,n,m,ell,e", FAMILY_GRID,
+    @pytest.mark.parametrize("p,n,m,ell,e", FAMILY_GRID + [(31, 3, 3, 2, 30), (17, 3, 3, 0, 4)],
                              ids=lambda v: str(v))
     def test_grid_totals_and_positivity(self, p, n, m, ell, e):
         # the three printed forms are asserted equal inside the call
@@ -378,3 +431,48 @@ class TestTruncationBound:
             with pytest.raises(ValueError, match=f"the least valid D is {degree}$"):
                 build(D)
         assert build(degree).coeffs == full.coeffs[:degree + 1]
+
+
+class TestSeriesBudget:
+    BUILDERS = {
+        "main_fp": lambda w, n, m: hilbert_main_fp(w, n, m, 0, 1),
+        "stabilizer_fq": lambda w, n, m: hilbert_stabilizer_fq(w, n, m),
+        "A": lambda w, n, m: hilbert_A(w, n, m, w - 1),
+        "B": lambda w, n, m: hilbert_B(w, n, m),
+        "conjecture": lambda w, n, m: lrs_conjecture(w, n, m),
+        "expand": lambda w, n, m: expand(
+            RationalExpr(((1, 0), (-1, w ** m)) * (n - 1), (1,) * (n - 1)), n * (w ** m - 1)),
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    @pytest.mark.parametrize("w,n,m", [(31, 2, 3), (17, 3, 3), (2, 4, 12), (3, 5, 5)], ids=str)
+    def test_peak_within_the_charge(self, monkeypatch, name, w, n, m):
+        # every list a builder holds at once stays within what it charged
+        charged = []
+        check = ff.check_budget
+
+        def record(nbytes, what):
+            charged.append(nbytes)
+            check(nbytes, what)
+
+        monkeypatch.setattr(qseries, "check_budget", record)
+        tracemalloc.start()
+        try:
+            series = self.BUILDERS[name](w, n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        length = n * (w ** m - 1) + 1
+        assert len(series.coeffs) == length
+        assert charged and max(charged) >= qseries._COEFF_BYTES * length
+        assert peak <= max(charged)
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_charged_before_any_list_is_built(self, monkeypatch, name):
+        def no_lists(*args):
+            raise AssertionError("built a list before the charge")
+
+        monkeypatch.setattr(qseries, "_ratio", no_lists)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", qseries._COEFF_BYTES * 2000)
+        with pytest.raises(CapExceeded, match="a series of 4801 coefficients needs"):
+            self.BUILDERS[name](7, 2, 4)  # 2(7^4 - 1) + 1 coefficients
