@@ -9,7 +9,8 @@ import json
 import sys
 from pathlib import Path
 
-from frobpow.cli import main as frobpow_main
+from frobpow.cli import SWEEP_COMMANDS, main as frobpow_main
+from frobpow.ff import DEFAULT_MONOMIAL_CAP, DEFAULT_POINT_CAP
 
 
 def parse_args(argv=None):
@@ -30,10 +31,10 @@ def parse_args(argv=None):
                     help="sweep full pointwise stabilizers instead of families")
     ap.add_argument("--commands", nargs="+",
                     default=["hilbert", "decompose", "orbits"],
-                    choices=["hilbert", "gbcheck", "decompose", "orbits"])
+                    choices=SWEEP_COMMANDS)
     ap.add_argument("--output-dir", default="sweep_out")
-    ap.add_argument("--max-monomials", type=int, default=10**6)
-    ap.add_argument("--max-points", type=int, default=10**6)
+    ap.add_argument("--max-monomials", type=int, default=DEFAULT_MONOMIAL_CAP)
+    ap.add_argument("--max-points", type=int, default=DEFAULT_POINT_CAP)
     ap.add_argument("--jobs", type=int, help="parallel workers")
     return ap.parse_args(argv)
 

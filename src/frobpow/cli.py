@@ -408,10 +408,6 @@ def _group_results(groups, workers):
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
 
-    # loaded once here, the layers the jobs may run are inherited by every
-    # forked worker instead of compiled in each
-    from . import groebner, orbits, qseries  # noqa: F401
-
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_sweep_group, groups)
 

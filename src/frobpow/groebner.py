@@ -27,19 +27,9 @@ def subduct(f, basics):
     non-divisible exponent means the leading monomial is outside the
     subalgebra generated by the f_i and the input is rejected.
     """
-    xring = basics.ring
     fring = basics.f_ring()
     weights = basics.weights
-    order = xring.order()
-    pows = [{} for _ in range(xring.n)]
-
-    def fpower(i, c):
-        got = pows[i].get(c)
-        if got is None:
-            got = basics.polys[i] ** c
-            pows[i][c] = got
-        return got
-
+    order = basics.ring.order()
     rest = f
     out = fring.zero()
     while rest.terms:
@@ -47,13 +37,9 @@ def subduct(f, basics):
         if any(a % w for a, w in zip(mono, weights)):
             raise ValueError(
                 f"leading monomial x^{mono} is not in the invariant subring")
-        cvec = tuple(a // w for a, w in zip(mono, weights))
-        head = xring.constant(coeff)
-        for i, c in enumerate(cvec):
-            if c:
-                head = head * fpower(i, c)
-        rest = rest - head
-        out = out + fring.monomial(cvec, coeff)
+        head = fring.monomial(tuple(a // w for a, w in zip(mono, weights)), coeff)
+        rest = rest - expand_f(head, basics)
+        out = out + head
     return out
 
 

@@ -45,6 +45,8 @@ from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, MatrixFq, _code_dtype, _segme
     factor_prime_power, make_field
 from .group import GroupSpec, build_group, full_gl_generators
 
+SPAIR_CAP = 10 ** 4  # S-pairs of the h-generators a Groebner check may reduce
+
 
 @dataclass(frozen=True)
 class BasicInvariants:
@@ -134,12 +136,16 @@ def h_generators(spec, m):
 
     Requires the maximal-root-space case (ell = n - 1 over the prime field)
     or the full stabilizer; w = q is the degree of the first basic invariants
-    and e divides w^m - 1 exactly.
+    and e divides w^m - 1 exactly.  Its g = n(n + 1)/2 generators give
+    g(g - 1)/2 S-pairs, whose count is checked against SPAIR_CAP before
+    anything is built.
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     if spec.ell != spec.n - 1:
         raise ValueError("h-generators need ell = n - 1 or the full stabilizer")
+    g = spec.n * (spec.n + 1) // 2
+    check_cap(g * (g - 1) // 2, SPAIR_CAP, "the S-pair check", "pairs")
     from .poly import reduce_mod_frobenius
 
     basics = basic_invariants(spec)
@@ -487,6 +493,8 @@ def _ab_ranks(spec, m, cap):
     stacked blocks.  The entries, each term twice, are charged before any is
     built, and the expansion is freed before the elimination.
     """
+    if m < 1:
+        raise ValueError("Frobenius exponent m must be at least 1")
     n, Q = spec.n, spec.q ** m
     check_cap(Q ** n, cap, "quotient", "monomials")
     exps, starts = _monomial_table(n, Q)

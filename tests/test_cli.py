@@ -299,6 +299,40 @@ class TestGbcheck:
         assert code == 2
         assert "ell = n - 1" in capsys.readouterr().err
 
+    def test_high_frobenius_power_runs_quickly(self):
+        # h-generator degrees up to 31^6 = 887503681: powers go by base-p digits
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "frobpow.cli", "gbcheck", "--p", "31",
+                               "--n", "2", "--m", "6", "--ell", "1"],
+                              capture_output=True, text=True)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["ok"] is True
+
+    def test_past_the_spair_cap_exits_3_quickly(self):
+        # 1830 h-generators would give 1673535 S-pairs; the count is checked
+        # from n before any generator is built
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "frobpow.cli", "gbcheck", "--p", "2",
+                               "--n", "60", "--m", "1"], capture_output=True, text=True)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "the S-pair check needs 1673535 pairs, above the cap of 10000\n"
+
+    @pytest.mark.parametrize("argv", [["--m", "0"], ["--m", "1", "--ell", "0", "--e", "1"]],
+                             ids=" ".join)
+    def test_out_of_range_past_the_spair_cap_exits_2(self, capsys, argv):
+        assert main(["gbcheck", "--p", "2", "--n", "60"] + argv) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_largest_n_within_the_spair_cap_runs(self, capsys):
+        # 136 h-generators, 9180 S-pairs: the cap of 10^4 stops n = 17 (11628)
+        assert main(["gbcheck", "--p", "2", "--n", "16", "--m", "1"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is True
+        assert len(data["certificates"]) == 9180
+
     def test_huge_extension_field_exits_2_quickly(self, capsys):
         # refused before the modulus search: no code arithmetic fits the field
         start = time.perf_counter()
@@ -642,6 +676,17 @@ class TestSweep:
         assert by_spec["p3n2l1e2"] == "ok"
         assert by_spec["p3n2l0e2"] == "skip"
 
+    def test_gbcheck_past_the_spair_cap_is_capped(self, tmp_path, capsys):
+        # out of the h-generator range (ell = 0), n = 17 stays a skip
+        manifest = write_manifest(
+            tmp_path, grid={"p": [2], "n": [2, 17], "m": [1], "ell": [0, 1, 16], "e": [1]},
+            commands=["gbcheck"])
+        assert main(["sweep", "--manifest", str(manifest)]) == 3
+        summary = json.loads(capsys.readouterr().out)
+        by_spec = {r["spec"]: r["status"] for r in summary["jobs"]}
+        assert by_spec == {"p2n2l0e1": "skip", "p2n2l1e1": "ok",
+                           "p2n17l0e1": "skip", "p2n17l1e1": "skip", "p2n17l16e1": "cap"}
+
     def test_cap_exits_3(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path, caps={"max_monomials": 2, "max_points": 2})
@@ -970,12 +1015,16 @@ class TestStartup:
         (["orbits", "--p", "3", "--n", "2", "--m", "1", "--format", "pretty"], 0),
         (["hilbert", "--p", "4", "--n", "2", "--m", "1"], 2),
         (["hilbert", "--p", "3", "--n", "2", "--m", "2", "--max-monomials", "5"], 3),
-    ], ids=["long-csv", "pretty", "exit-2", "exit-3"])
+        (["decompose", "--p", "3", "--n", "2", "--m", "0"], 2),
+        (["decompose", "--p", "3", "--n", "2", "--m", "-1"], 2),
+    ], ids=["long-csv", "pretty", "exit-2", "exit-3", "exit-2-m0", "exit-2-m-1"])
     def test_a_process_prints_what_main_returns(self, capsys, argv, code):
         # the frozen exit must still flush stdout to its last byte: the CSV
-        # series runs past 30 KiB, longer than the stdio buffer
+        # series runs past 30 KiB, longer than the stdio buffer; a refusal is
+        # one stderr line, never a traceback
         assert main(argv) == code
         expected = capsys.readouterr()
+        assert expected.err.count("\n") == (1 if code else 0)
         proc = subprocess.run([sys.executable, "-m", "frobpow.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == code

@@ -83,12 +83,18 @@ def test_ring_axioms_property(rp):
 
 
 def test_pow_matches_repeated_product():
+    # powers go by the base-p digits of k through the Frobenius, so take k past
+    # three digits (111 in base p), and fields with c^p != c for most c
     rng = random.Random(99)
-    for ring in RINGS:
-        for _ in range(20):
-            f = _random_poly(ring, rng, max_terms=3, max_exp=2)
+    for ring in RINGS + [PolyRing(make_field(2, 2), 2), PolyRing(make_field(3, 2), 2)]:
+        monos = list(itertools.product(range(3), repeat=ring.n))
+        p = ring.field.p
+        for count in range(5):
+            terms = {m: ring.field.decode(rng.randrange(1, ring.field.order))
+                     for m in rng.sample(monos, count)}
+            f = Polynomial(ring, terms)
             acc = ring.one()
-            for k in range(6):
+            for k in range(p * p + p + 2):
                 assert f ** k == acc
                 acc = acc * f
     with pytest.raises(ValueError):
