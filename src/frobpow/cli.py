@@ -81,12 +81,14 @@ def _dump_json(data):
 
 
 def _emit(fmt, data, csv_rows, pretty_lines):
+    """Write data in one format; csv_rows and pretty_lines build their lines
+    when called, so only the requested rendering is ever built."""
     if fmt == "json":
         sys.stdout.write(_dump_json(data))
     elif fmt == "csv":
-        sys.stdout.write("\n".join(csv_rows) + "\n")
+        sys.stdout.write("\n".join(csv_rows()) + "\n")
     else:
-        sys.stdout.write("\n".join(pretty_lines) + "\n")
+        sys.stdout.write("\n".join(pretty_lines()) + "\n")
 
 
 # -- hilbert ----------------------------------------------------------------
@@ -144,22 +146,27 @@ def cmd_hilbert(args):
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
                 "series": view, "total": formula.total}
-        rows = ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])]
-        lines = [formula.closed_form, str(formula), f"total {formula.total}"]
-        _emit(args.format, data, rows, lines)
+        _emit(args.format, data,
+              lambda: ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])],
+              lambda: [formula.closed_form, str(formula), f"total {formula.total}"])
         return 0
     data, status = run_hilbert(spec, args.m, args.mode, args.max_monomials, args.truncate)
-    if args.mode == "brute":
-        rows = ["degree,dim"] + [f"{d},{c}" for d, c in enumerate(data["dims"])]
-        lines = [" ".join(str(c) for c in data["dims"]), f"total {data['total']}"]
-    else:
-        rows = ["degree,formula,brute,equal"] + [
+
+    def rows():
+        if args.mode == "brute":
+            return ["degree,dim"] + [f"{d},{c}" for d, c in enumerate(data["dims"])]
+        return ["degree,formula,brute,equal"] + [
             f"{d},{f},{b},{eq}" for d, f, b, eq in data["rows"]]
-        lines = [data["closed_form"]] + [
+
+    def lines():
+        if args.mode == "brute":
+            return [" ".join(str(c) for c in data["dims"]), f"total {data['total']}"]
+        return [data["closed_form"]] + [
             f"{d}: formula={f} brute={b}{'' if eq else '  <- mismatch'}"
-            for d, f, b, eq in data["rows"]]
-        lines += [f"totals {data['formula_total']} vs {data['brute_total']}",
-                  f"equal: {data['equal']}"]
+            for d, f, b, eq in data["rows"]] + [
+            f"totals {data['formula_total']} vs {data['brute_total']}",
+            f"equal: {data['equal']}"]
+
     _emit(args.format, data, rows, lines)
     return EXIT_CODES[status]
 
@@ -177,10 +184,11 @@ def run_gbcheck(spec, m, from_scratch=False):
 def cmd_gbcheck(args):
     data, status = run_gbcheck(_spec_from_args(args), args.m, args.from_scratch)
     certificates = data["certificates"]
-    rows = ["pair,remainder"] + [f"\"{c['pair']}\",\"{c['remainder']}\"" for c in certificates]
-    lines = [f"generators: {' '.join(data['names'])}"]
-    lines += [f"{c['pair']}: {c['remainder']}" for c in certificates] + [f"ok: {data['ok']}"]
-    _emit(args.format, data, rows, lines)
+    _emit(args.format, data,
+          lambda: ["pair,remainder"] + [
+              f"\"{c['pair']}\",\"{c['remainder']}\"" for c in certificates],
+          lambda: [f"generators: {' '.join(data['names'])}"] + [
+              f"{c['pair']}: {c['remainder']}" for c in certificates] + [f"ok: {data['ok']}"])
     return EXIT_CODES[status]
 
 
@@ -194,10 +202,11 @@ def run_decompose(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 
 def cmd_decompose(args):
     data, status = run_decompose(_spec_from_args(args), args.m, args.max_monomials)
-    rows = ["degree,A,B,total,brute"] + [",".join(map(str, row)) for row in data["rows"]]
-    lines = [f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in data["rows"]]
-    lines += data["mismatches"] + [f"ok: {data['ok']}"]
-    _emit(args.format, data, rows, lines)
+    _emit(args.format, data,
+          lambda: ["degree,A,B,total,brute"] + [
+              ",".join(map(str, row)) for row in data["rows"]],
+          lambda: [f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in data["rows"]]
+          + data["mismatches"] + [f"ok: {data['ok']}"])
     return EXIT_CODES[status]
 
 
@@ -213,14 +222,14 @@ def run_orbits(spec, m, max_points=DEFAULT_POINT_CAP):
 
 def cmd_orbits(args):
     data, status = run_orbits(_spec_from_args(args), args.m, args.max_points)
-    rows = ["size,multiplicity"] + [f"{s},{c}" for s, c in data["histogram"]]
     hist = ", ".join(f"{c} of size {s}" for s, c in data["histogram"])
-    lines = [
-        f"{data['orbit_count']} orbits of {data['total_points']} points",
-        f"histogram: {hist}",
-        f"formula {data['formula_value']}: match={data['match']}",
-    ]
-    _emit(args.format, data, rows, lines)
+    _emit(args.format, data,
+          lambda: ["size,multiplicity"] + [f"{s},{c}" for s, c in data["histogram"]],
+          lambda: [
+              f"{data['orbit_count']} orbits of {data['total_points']} points",
+              f"histogram: {hist}",
+              f"formula {data['formula_value']}: match={data['match']}",
+          ])
     return EXIT_CODES[status]
 
 
@@ -231,19 +240,18 @@ def cmd_resolution2d(args):
 
     report = resolution_2d(args.p, args.m, args.e, args.ell)
     data = report.to_json()
-    rows = ["key,value"] + [
+    _emit(args.format, data, lambda: [
+        "key,value",
         f"branch,{data['branch']}",
         f"f0_shifts,{' '.join(str(s) for s in data['f0_shifts'])}",
         f"f1_shifts,{' '.join(str(s) for s in data['f1_shifts'])}",
         f"syzygies,{' '.join(s['name'] for s in data['syzygies'])}",
         f"ok,{data['ok']}",
-    ]
-    lines = [
+    ], lambda: [
         f"branch: {data['branch']}",
         f"free module shifts: {data['f0_shifts']} then {data['f1_shifts']}",
         f"syzygies: {', '.join(s['name'] for s in data['syzygies'])}",
-    ] + list(data["failures"]) + [f"ok: {report.ok}"]
-    _emit(args.format, data, rows, lines)
+    ] + list(data["failures"]) + [f"ok: {report.ok}"])
     return 0 if report.ok else 1
 
 
@@ -278,18 +286,19 @@ def cmd_conjecture(args):
     checked = dims is not None
     data = {"q": args.q, "n": args.n, "m": args.m, "series": series.to_json(args.truncate),
             "total": series.total, "checked": checked, "brute_dims": dims, "match": match}
-    if checked:
-        rows = ["degree,conjecture,brute"] + [
+
+    def rows():
+        if not checked:
+            return ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(series.coeffs)]
+        return ["degree,conjecture,brute"] + [
             f"{d},{series[d]},{dims[d] if d < len(dims) else 0}"
             for d in range(max(len(dims), series.truncation + 1))
         ]
-    else:
-        rows = ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(series.coeffs)]
-    lines = [series.closed_form, str(series)] + (
+
+    _emit(args.format, data, rows, lambda: [series.closed_form, str(series)] + (
         [f"brute dims: {dims}", f"match: {match}"] if checked
         else ["brute cross-check skipped (only run for q <= 3, n <= 2, m <= 2)"]
-    )
-    _emit(args.format, data, rows, lines)
+    ))
     return 10 if checked and not match else 0
 
 
@@ -426,13 +435,8 @@ def cmd_sweep(args):
     of the groups finished before.  The summary lists the jobs in manifest
     order.
     """
-    env = os.environ.get("FROBPOW_JOBS", "1")
-    try:
-        workers = int(env) if args.jobs is None else args.jobs
-    except ValueError:
-        raise ValueError(f"FROBPOW_JOBS must be a worker count, not {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"sweep needs at least one worker, not {workers}")
+    if args.jobs < 1:
+        raise ValueError(f"sweep needs at least one worker, not {args.jobs}")
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except OSError as exc:
@@ -453,7 +457,7 @@ def cmd_sweep(args):
     except OSError as exc:
         raise _unwritable(exc) from None
     statuses = [None] * len(jobs)
-    for group, results in zip(groups.values(), _group_results(batches, workers)):
+    for group, results in zip(groups.values(), _group_results(batches, args.jobs)):
         for i, (status, text) in zip(group, results):
             try:
                 (outdir / names[i]).write_text(text)
@@ -464,11 +468,12 @@ def cmd_sweep(args):
     records = [{"command": job["command"], "spec": tag, "m": job["m"], "status": status,
                 "file": name} for job, tag, name, status in zip(jobs, tags, names, statuses)]
     summary = {"jobs": records, "counts": counts, "skipped_grid_points": skipped}
-    rows = ["command,spec,m,status,file"] + [
-        f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}" for r in records]
-    lines = [f"{r['command']} {r['spec']} m={r['m']}: {r['status']}" for r in records]
-    lines.append(f"counts: {counts}")
-    _emit(args.format, summary, rows, lines)
+    _emit(args.format, summary,
+          lambda: ["command,spec,m,status,file"] + [
+              f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}"
+              for r in records],
+          lambda: [f"{r['command']} {r['spec']} m={r['m']}: {r['status']}"
+                   for r in records] + [f"counts: {counts}"])
     if counts["fail"]:
         return 1
     if counts["cap"]:
@@ -569,8 +574,7 @@ def build_parser():
 
     s = sub.add_parser("sweep", help="replay a manifest over a parameter grid")
     s.add_argument("--manifest", required=True, help="path to a manifest JSON")
-    s.add_argument("--jobs", type=int,
-                   help="worker processes, default $FROBPOW_JOBS or 1")
+    s.add_argument("--jobs", type=int, default=1, help="worker processes, default 1")
     _common_arguments(s, m=False)
     s.set_defaults(func=cmd_sweep)
 

@@ -396,11 +396,7 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
-            raise ZeroDivisionError(f"division by zero in {self.field}")
-        if self.field.r == 1:
-            return FieldElem(self.field, (pow(self.coeffs[0], self.field.p - 2, self.field.p),))
-        return self ** (self.field.order - 2)
+        return self ** -1
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -415,8 +411,12 @@ class FieldElem:
         return o * self.inverse()
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
+        """Square-and-multiply after reducing k mod q - 1, which takes k < 0 too."""
+        if not self:
+            if k < 0:
+                raise ZeroDivisionError(f"division by zero in {self.field}")
+            return self.field.one() if k == 0 else self
+        k %= self.field.order - 1
         result = self.field.one()
         base = self
         while k:

@@ -29,11 +29,10 @@ def subduct(f, basics):
     """
     fring = basics.f_ring()
     weights = basics.weights
-    order = basics.ring.order()
     rest = f
     out = fring.zero()
     while rest.terms:
-        mono, coeff = leading_monomial(rest, order)
+        mono, coeff = leading_monomial(rest)
         if any(a % w for a, w in zip(mono, weights)):
             raise ValueError(
                 f"leading monomial x^{mono} is not in the invariant subring")
@@ -45,9 +44,7 @@ def subduct(f, basics):
 
 def leading_monomials(hgens):
     """Leading f-exponents of each h-generator under the weighted order."""
-    basics = basic_invariants(hgens.spec)
-    order = basics.f_ring().order()
-    return [leading_monomial(hf, order)[0] for hf in hgens.f_polys()]
+    return [leading_monomial(hf)[0] for hf in hgens.f_polys()]
 
 
 @dataclass(frozen=True)
@@ -66,22 +63,22 @@ class BuchbergerReport:
                 "ok": self.ok, "completed_size": self.completed_size}
 
 
-def _s_polynomial(fi, fj, order):
+def _s_polynomial(fi, fj):
     ring = fi.ring
-    (mi, ci), (mj, cj) = leading_monomial(fi, order), leading_monomial(fj, order)
+    (mi, ci), (mj, cj) = leading_monomial(fi), leading_monomial(fj)
     lcm = tuple(max(a, b) for a, b in zip(mi, mj))
     ui = ring.monomial(tuple(a - b for a, b in zip(lcm, mi)), cj)
     uj = ring.monomial(tuple(a - b for a, b in zip(lcm, mj)), ci)
     return ui * fi - uj * fj
 
 
-def _complete_basis(hlist, order, max_basis=60):
+def _complete_basis(hlist, max_basis=60):
     basis = list(hlist)
     queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while queue:
         i, j = queue.pop()
-        s = _s_polynomial(basis[i], basis[j], order)
-        _, r = divide(s, basis, order)
+        s = _s_polynomial(basis[i], basis[j])
+        _, r = divide(s, basis)
         if r.terms:
             basis.append(r)
             if len(basis) > max_basis:
@@ -90,14 +87,10 @@ def _complete_basis(hlist, order, max_basis=60):
     return basis
 
 
-def buchberger_check(hgens, order=None, from_scratch=False):
+def buchberger_check(hgens, from_scratch=False):
     """S-pair reduction certificate that the h-list generates its own
     leading-term ideal; optionally re-runs a full completion as a second
     oracle and confirms no new leading monomials appear."""
-    basics = basic_invariants(hgens.spec)
-    fring = basics.f_ring()
-    if order is None:
-        order = fring.order()
     entries = hgens.as_list()
     names = tuple(name for name, _, _ in entries)
     hlist = [hf for _, hf, _ in entries]
@@ -110,19 +103,19 @@ def buchberger_check(hgens, order=None, from_scratch=False):
             certificates.append({"pair": None, "remainder": "membership failure"})
     for i in range(len(hlist)):
         for j in range(i + 1, len(hlist)):
-            s = _s_polynomial(hlist[i], hlist[j], order)
-            _, r = divide(s, hlist, order)
+            s = _s_polynomial(hlist[i], hlist[j])
+            _, r = divide(s, hlist)
             certificates.append(
                 {"pair": [i, j], "remainder": "0" if not r.terms else poly_str(r)})
             if r.terms:
                 ok = False
     completed = None
     if from_scratch:
-        basis = _complete_basis(hlist, order)
+        basis = _complete_basis(hlist)
         completed = len(basis)
-        lms = [leading_monomial(h, order)[0] for h in hlist]
+        lms = [leading_monomial(h)[0] for h in hlist]
         for extra in basis[len(hlist):]:
-            lm = leading_monomial(extra, order)[0]
+            lm = leading_monomial(extra)[0]
             if not any(all(a >= b for a, b in zip(lm, known)) for known in lms):
                 ok = False
                 certificates.append(

@@ -6,6 +6,9 @@ tuple to nonzero coefficient.  The same machinery carries both the ambient
 ring in the variables x_1..x_n (all weights 1) and the invariant subring in
 the basic invariants f_1..f_n (weights deg f_i), because the two orders of
 interest are weighted graded-lex with first-variable precedence in both.
+The order is the ring's: PolyRing.key sorts monomials by it.  Terms never
+change after construction, so a polynomial's leading term is taken once and
+kept.
 
 Powers use the Frobenius: in characteristic p, f^p is f with every exponent
 times p and every coefficient to the p-th power, so f^k is the product over
@@ -47,8 +50,9 @@ class PolyRing:
         if len(self.weights) != self.n:
             raise ValueError("one weight per variable")
 
-    def order(self):
-        return MonomialOrder(self.weights)
+    def key(self, exps):
+        """Weighted graded-lex: weighted degree first, then lex with x_1 > ... > x_n."""
+        return (sum(w * a for w, a in zip(self.weights, exps)), exps)
 
     def zero(self):
         return Polynomial(self, {})
@@ -72,22 +76,9 @@ class PolyRing:
         return Polynomial(self, {exps: c} if c else {})
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Weighted graded-lex: weighted degree first, then lex with x_1 > ... > x_n."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-
-    def key(self, exps):
-        return (sum(w * a for w, a in zip(self.weights, exps)), exps)
-
-
-def cmp(order, u, v):
-    """-1, 0, or 1 as u <, =, > v under the order."""
-    ku, kv = order.key(u), order.key(v)
+def cmp(ring, u, v):
+    """-1, 0, or 1 as u <, =, > v under the ring's order."""
+    ku, kv = ring.key(u), ring.key(v)
     return (ku > kv) - (ku < kv)
 
 
@@ -106,11 +97,12 @@ def _mono_div(u, v):
 class Polynomial:
     """Immutable sparse polynomial; terms map exponent tuple -> nonzero coeff."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._lead = None   # (monomial, coefficient), filled by leading_monomial
 
     def _check(self, other):
         if isinstance(other, Polynomial):
@@ -231,12 +223,14 @@ class Polynomial:
     __repr__ = __str__
 
 
-def leading_monomial(f, order):
-    """Maximal (monomial, coefficient) under the order; error on zero."""
-    if not f.terms:
-        raise ValueError("LM of zero")
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
+def leading_monomial(f):
+    """Maximal (monomial, coefficient) under the ring's order; error on zero."""
+    if f._lead is None:
+        if not f.terms:
+            raise ValueError("LM of zero")
+        m = max(f.terms, key=f.ring.key)
+        f._lead = m, f.terms[m]
+    return f._lead
 
 
 def reduce_mod_frobenius(f, Q):
@@ -247,18 +241,18 @@ def reduce_mod_frobenius(f, Q):
     return Polynomial(f.ring, terms)
 
 
-def divide(f, divisors, order):
+def divide(f, divisors):
     """Multivariate division: f = sum q_i d_i + rem, first-divisor-wins.
 
     No monomial of rem is divisible by any divisor's leading monomial; the
     quotients depend on the list order, so callers fix it.
     """
-    leads = [leading_monomial(d, order) for d in divisors]
-    quotients = [f.ring.zero() for _ in divisors]
+    leads = [leading_monomial(d) for d in divisors]
+    quotients = [f.ring.zero()] * len(divisors)
     rem_terms = {}
     work = f
     while work.terms:
-        m, c = leading_monomial(work, order)
+        m, c = leading_monomial(work)
         for i, (lm, lc) in enumerate(leads):
             if _mono_divides(lm, m):
                 t = Polynomial(f.ring, {_mono_div(m, lm): c / lc})
@@ -314,9 +308,8 @@ def poly_str(f):
     """Deterministic text form: terms in descending ring order, `c*x1^a1*...`."""
     if not f.terms:
         return "0"
-    order = f.ring.order()
     parts = []
-    for m in sorted(f.terms, key=order.key, reverse=True):
+    for m in sorted(f.terms, key=f.ring.key, reverse=True):
         c = f.terms[m]
         factors = [str(c)]
         for i, a in enumerate(m):

@@ -662,11 +662,6 @@ class TestSweep:
                      "--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_jobs_env_default(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FROBPOW_JOBS", "2")
-        manifest = write_manifest(tmp_path)
-        assert main(["sweep", "--manifest", str(manifest)]) == 0
-
     def test_gbcheck_skips_partial_groups(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, commands=["gbcheck"])
         code = main(["sweep", "--manifest", str(manifest)])
@@ -779,15 +774,6 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(manifest), "--jobs", "-1"]) == 2
         err = capsys.readouterr().err
         assert "at least one worker" in err
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out").exists()
-
-    def test_non_integer_jobs_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FROBPOW_JOBS", "abc")
-        manifest = write_manifest(tmp_path)
-        assert main(["sweep", "--manifest", str(manifest)]) == 2
-        err = capsys.readouterr().err
-        assert "FROBPOW_JOBS must be a worker count, not 'abc'" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 

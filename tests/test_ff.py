@@ -228,6 +228,19 @@ def test_int_coercion_and_division():
     assert 2 * a == 1 and a / 2 == 4 and 2 / a == 4
     assert a ** -1 == 2 and F5.elem(7) == 2
     assert F4.elem([1, 1]) * F4.elem([0, 1]) == F4.elem(1)  # (1+x)x = x+x^2 = 1
+    # powers at and past q - 1, negative powers and a zero base, against
+    # repeated multiplication
+    for f in (F7, F4, F9):
+        for a in f.elements():
+            acc = f.one()
+            for k in range(2 * f.order + 1):
+                assert a ** k == acc
+                if a:
+                    assert a ** -k * acc == f.one()
+                elif k:
+                    with pytest.raises(ZeroDivisionError):
+                        a ** -k
+                acc = acc * a
 
 
 def test_elem_validation():

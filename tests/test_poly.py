@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 
 from frobpow.ff import Field, MatrixFq, make_field
 from frobpow.poly import (
-    MonomialOrder,
     Polynomial,
     PolyRing,
     cmp,
@@ -139,11 +138,11 @@ def test_ring_annotations_resolve():
 # -- orders -----------------------------------------------------------------
 
 def test_cmp_examples():
-    o = MonomialOrder((1, 1, 1))
+    o = PolyRing(F5, 3, weights=(1, 1, 1))
     assert cmp(o, (1, 0, 1), (0, 2, 0)) == 1  # x1x3 beats x2^2 lexicographically
     assert cmp(o, (0, 2, 0), (1, 0, 1)) == -1
     assert cmp(o, (2, 1, 0), (2, 1, 0)) == 0
-    of = MonomialOrder((5, 5, 1))
+    of = PolyRing(F5, 3, weights=(5, 5, 1))
     assert cmp(of, (1, 0, 0), (0, 0, 5)) == 1  # f1 beats f3^5 at equal degree 5
     assert cmp(of, (0, 0, 6), (1, 0, 0)) == 1  # higher weighted degree wins
 
@@ -154,7 +153,7 @@ def _monomials_up_to(n, d):
 
 @pytest.mark.parametrize("weights", [(1, 1, 1), (5, 5, 4)])
 def test_order_multiplicative_exhaustive(weights):
-    order = MonomialOrder(weights)
+    order = PolyRing(F5, 3, weights=weights)
     monos = _monomials_up_to(3, 6)
     keys = {m: order.key(m) for m in monos}
     pairs = [(u, v) for u in monos for v in monos if keys[u] < keys[v]]
@@ -169,12 +168,12 @@ def test_leading_monomial():
     r5 = PolyRing(F5, 3)
     x1, x3 = r5.variable(0), r5.variable(2)
     f1 = x1 ** 5 - x1 * x3 ** 4
-    m, c = leading_monomial(f1, r5.order())
+    m, c = leading_monomial(f1)
     assert m == (5, 0, 0) and c == F5.one()
-    m, c = leading_monomial(r5.constant(3), r5.order())
+    m, c = leading_monomial(r5.constant(3))
     assert m == (0, 0, 0) and c == F5.elem(3)
     with pytest.raises(ValueError, match="LM of zero"):
-        leading_monomial(r5.zero(), r5.order())
+        leading_monomial(r5.zero())
 
 
 def test_leading_monomial_h1_in_f_coordinates():
@@ -183,7 +182,7 @@ def test_leading_monomial_h1_in_f_coordinates():
     fring = PolyRing(F2, 2, weights=(2, 1), prefix="f")
     f1, f2 = fring.variable(0), fring.variable(1)
     h11 = f2 * f1 ** 2 + f2 ** 3 * f1
-    m, _ = leading_monomial(h11, fring.order())
+    m, _ = leading_monomial(h11)
     assert m == (2, 1)
 
 
@@ -222,20 +221,19 @@ def _expand(F, basics):
 @pytest.mark.parametrize("setup", [_archetype_basics, _tiny_basics])
 def test_order_compatibility_on_random_f_polys(setup):
     fring, basics = setup()
-    sring = basics[0].ring
     rng = random.Random(20260401)
     done = 0
     while done < 100:
         F = _random_poly(fring, rng, max_terms=4, max_exp=3)
         if not F:
             continue
-        lead, lc = leading_monomial(F, fring.order())
+        lead, lc = leading_monomial(F)
         lead_expanded = _expand(Polynomial(fring, {lead: lc}), basics)
         full_expanded = _expand(F, basics)
         if not full_expanded:
             continue  # the f_i are algebraically independent, so this cannot happen
-        lm_via_lead = leading_monomial(lead_expanded, sring.order())
-        lm_direct = leading_monomial(full_expanded, sring.order())
+        lm_via_lead = leading_monomial(lead_expanded)
+        lm_direct = leading_monomial(full_expanded)
         assert lm_via_lead[0] == lm_direct[0]
         done += 1
 
@@ -273,11 +271,11 @@ def test_divide_examples():
     r5 = PolyRing(F5, 2)
     x = r5.variable(0)
     d1 = x ** 2 + 3 * x + 1
-    q, rem = divide(d1, [d1], r5.order())
+    q, rem = divide(d1, [d1])
     assert q == [r5.one()] and rem == r5.zero()
-    q, rem = divide(x ** 2 + x, [x], r5.order())
+    q, rem = divide(x ** 2 + x, [x])
     assert q == [x + 1] and rem == r5.zero()
-    q, rem = divide(x + 1, [x ** 2], r5.order())
+    q, rem = divide(x + 1, [x ** 2])
     assert q == [r5.zero()] and rem == x + 1
 
 
@@ -287,10 +285,9 @@ def test_divide_spair_reduces_to_zero():
     fring = PolyRing(F2, 3, weights=(2, 2, 1), prefix="f")
     f1, f2, f3 = (fring.variable(i) for i in range(3))
     hlist = [f3 ** 2, f3 * f1, f3 * f2, f1 ** 2, f1 * f2, f2 ** 2]
-    order = fring.order()
     a, b = f1 ** 2, f1 * f2  # h_{2,1,1} and h_{2,1,2}
     spoly = a * f2 - b * f1  # lcm cancellation of the two leads
-    q, rem = divide(spoly, hlist, order)
+    q, rem = divide(spoly, hlist)
     assert rem == fring.zero()
     assert spoly == sum((qi * hi for qi, hi in zip(q, hlist)), fring.zero())
 
@@ -301,12 +298,40 @@ def test_division_identity(rp):
     f, divisors = polys[0], [d for d in polys[1:] if d]
     if not divisors:
         divisors = [ring.one() + ring.variable(0)]
-    order = ring.order()
-    q, rem = divide(f, divisors, order)
+    q, rem = divide(f, divisors)
     assert f == sum((qi * di for qi, di in zip(q, divisors)), rem)
-    leads = [leading_monomial(d, order)[0] for d in divisors]
+    leads = [leading_monomial(d)[0] for d in divisors]
     for m in rem.terms:
         assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
+
+
+def test_divisor_leads_are_keyed_once(monkeypatch):
+    ring = PolyRing(F5, 3, weights=(5, 5, 4), prefix="f")
+    f1, f2, f3 = (ring.variable(i) for i in range(3))
+    divisors = [f1 ** 2 + 3 * f2 * f3, f2 ** 2 + f1 + 4, f3 ** 3 + 2 * f1 * f3]
+    fresh = [Polynomial(ring, dict(d.terms)) for d in divisors]
+    calls = []
+    key = PolyRing.key
+    monkeypatch.setattr(PolyRing, "key", lambda self, exps: calls.append(exps) or key(self, exps))
+
+    def keyed(f, divs):
+        calls.clear()
+        result = divide(f, divs)
+        return result, len(calls)
+
+    divisor_terms = sum(len(d.terms) for d in divisors)
+    a = f1 ** 3 * f3 + f2 ** 4 + 2 * f1 * f2 * f3 + 1
+    b = f3 ** 5 + f2 ** 3 * f1 + 3 * f2
+    _, first = keyed(a, divisors)
+    assert first > divisor_terms
+    cached, again = keyed(b, divisors)
+    uncached, cold = keyed(Polynomial(ring, dict(b.terms)), fresh)
+    assert cached == uncached
+    assert again == cold - divisor_terms
+    zero = ring.zero()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="LM of zero"):
+            leading_monomial(zero)
 
 
 # -- substitution action ----------------------------------------------------
