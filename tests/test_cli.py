@@ -662,6 +662,15 @@ class TestSweep:
                      "--jobs", "2"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_jobs_environment_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # the worker count comes from --jobs alone
+        manifest = write_manifest(tmp_path)
+        assert main(["sweep", "--manifest", str(manifest)]) == 0
+        first = capsys.readouterr().out
+        monkeypatch.setenv("FROBPOW_JOBS", "abc")
+        assert main(["sweep", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out == first
+
     def test_gbcheck_skips_partial_groups(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, commands=["gbcheck"])
         code = main(["sweep", "--manifest", str(manifest)])

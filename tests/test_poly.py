@@ -328,7 +328,11 @@ def test_divisor_leads_are_keyed_once(monkeypatch):
     uncached, cold = keyed(Polynomial(ring, dict(b.terms)), fresh)
     assert cached == uncached
     assert again == cold - divisor_terms
-    zero = ring.zero()
+
+
+def test_leading_monomial_of_zero_raises_every_call():
+    # the cached lead is never filled for zero, so the error repeats
+    zero = PolyRing(F5, 3, weights=(5, 5, 4), prefix="f").zero()
     for _ in range(2):
         with pytest.raises(ValueError, match="LM of zero"):
             leading_monomial(zero)
