@@ -429,11 +429,13 @@ def _unwritable(exc):
 def cmd_sweep(args):
     """Run a manifest's jobs, one group (spec tag) per task, and print a summary.
 
-    A group's jobs share their caches, so a worker builds each group and
-    fixed space once, and renders the job files itself.  Each group's files
-    are written as soon as it finishes, so a sweep that dies keeps the files
-    of the groups finished before.  The summary lists the jobs in manifest
-    order.
+    A group's jobs run in one process and share what is cached per spec: its
+    field and lookup tables, its root of unity, its basic invariants and its
+    fixed-space dimensions for each m.  Each job still builds the generator
+    matrices it needs, and the worker renders the job files itself.  Each
+    group's files are written as soon as it finishes, so a sweep that dies
+    keeps the files of the groups finished before.  The summary lists the
+    jobs in manifest order.
     """
     if args.jobs < 1:
         raise ValueError(f"sweep needs at least one worker, not {args.jobs}")
@@ -477,6 +479,8 @@ def cmd_sweep(args):
     if counts["fail"]:
         return 1
     if counts["cap"]:
+        print(f"{counts['cap']} of {len(jobs)} jobs stopped at a size cap; "
+              "each job file records its cap", file=sys.stderr)
         return 3
     return 0
 

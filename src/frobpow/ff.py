@@ -3,20 +3,25 @@
 Fields are constructed deterministically so that serialized output is
 reproducible run to run: the modulus of GF(p^r) is the lexicographically
 smallest monic irreducible polynomial of degree r over GF(p) (coefficient
-tuples compared low-degree first), and roots of unity are the first elements
-of the required order in the fixed element enumeration.
+tuples compared low-degree first), and a root of unity of order e is the first
+element of that multiplicative order in the same coefficient-lex order
+(:func:`root_of_unity`, which takes it from the powers of a primitive
+element's (q - 1)/e-th power when they are few, and caches it per field and
+e).
 
 Elements are immutable values stored fully reduced; equality is coefficient
-equality.  :class:`MatrixFq` is dense.  Heavy loops run on integer codes (see
-:meth:`Field.encode`) in numpy arrays through :func:`code_arithmetic`, the one
-place that picks residues mod p (r = 1) or lookup tables (r > 1), and the
-code dtype: int32 while (p - 1)^2 + p fits in it (primes up to 46337), else
-int64.  Residue products must fit in an int64, so prime fields, and the
-prime of an extension field, need p <= 3037000500.  The lookup tables are
-built with numpy from one source, the field's discrete-log table
-(:func:`discrete_logs`, q - 1 element products): a product is exp[log a +
-log b] and an inverse exp[-log a], while sums and negatives go digit by
-digit over the codes' base-p digits.
+equality.  Every power, and so every inverse and order, is one
+square-and-multiply on coefficient lists modulo the field's modulus, a single
+built-in pow in a prime field.  :class:`MatrixFq` is dense.  Heavy loops run
+on integer codes (see :meth:`Field.encode`) in numpy arrays through
+:func:`code_arithmetic`, the one place that picks residues mod p (r = 1) or
+lookup tables (r > 1), and the code dtype: int32 while (p - 1)^2 + p fits in
+it (primes up to 46337), else int64.  Residue products must fit in an int64,
+so prime fields, and the prime of an extension field, need p <= 3037000500.
+The lookup tables are built with numpy from one source, the field's
+discrete-log table (:func:`discrete_logs`, q - 1 element products): a product
+is exp[log a + log b] and an inverse exp[-log a], while sums and negatives go
+digit by digit over the codes' base-p digits.
 
 Elimination is one sparse round-based kernel on :class:`CodeEntries`, a
 matrix's nonzero entries packed one int64 key each: the simultaneous
@@ -175,7 +180,27 @@ def _pmulmod(a, b, mod, p):
     return _pmod(out, mod, p)
 
 
+def _digits(k, p, r):
+    """The r base-p digits of k, low digit first."""
+    out = []
+    for _ in range(r):
+        k, c = divmod(k, p)
+        out.append(c)
+    return out
+
+
+def _horner(coeffs, x, acc):
+    """acc * x^len + sum(c_i * x^i) for low-to-high coefficients, by Horner's rule."""
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _ppowmod(base, e, mod, p):
+    """base^e mod (mod, p) by square-and-multiply; a degree-1 modulus x - a, as
+    the placeholder x of a prime field, leaves one built-in pow of base(a)."""
+    if len(mod) == 2:
+        return _ptrim([pow(_horner(base, -mod[0], 0), e, p)])
     result = [1]
     base = _pmod(base, mod, p)
     while e:
@@ -254,26 +279,19 @@ class Field:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FieldElem(self, (value % self.p,) + (0,) * (self.r - 1))
+            return _padded(self, (value % self.p,))
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) > self.r:
             raise ValueError(f"too many coefficients for GF({self.order})")
-        return FieldElem(self, coeffs + (0,) * (self.r - len(coeffs)))
+        return _padded(self, coeffs)
 
     def decode(self, code):
         """Inverse of :meth:`encode`: base-p digits, low digit first."""
-        coeffs = []
-        for _ in range(self.r):
-            code, c = divmod(code, self.p)
-            coeffs.append(c)
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, tuple(_digits(code, self.p, self.r)))
 
     def encode(self, elem):
         """Pack an element into an integer code sum(c_i * p^i)."""
-        code = 0
-        for c in reversed(elem.coeffs):
-            code = code * self.p + c
-        return code
+        return _horner(elem.coeffs, self.p, 0)
 
     def elements(self):
         """All elements in the canonical enumeration (ascending integer code)."""
@@ -285,11 +303,7 @@ class Field:
         itertools.product would first build the whole range(p) as a tuple.
         """
         for k in range(self.order):
-            coeffs = []
-            for _ in range(self.r):
-                k, c = divmod(k, self.p)
-                coeffs.append(c)
-            yield FieldElem(self, tuple(reversed(coeffs)))
+            yield FieldElem(self, tuple(reversed(_digits(k, self.p, self.r))))
 
     def __str__(self):
         mod = ",".join(str(c) for c in self.modulus)
@@ -326,14 +340,15 @@ def make_field(p, r=1):
     # candidates in lex order, counted lazily from constant term 1: x divides
     # every candidate before that, and itertools.product would build range(p)
     for k in range(p ** (r - 1), p ** r):
-        mod = [1]
-        for _ in range(r):
-            k, c = divmod(k, p)
-            mod.append(c)
-        mod.reverse()
+        mod = _digits(k, p, r)[::-1] + [1]
         if _is_irreducible(mod, p):
             return Field(p, r, tuple(mod))
     raise AssertionError("unreachable: irreducible polynomials exist in every degree")
+
+
+def _padded(field, coeffs):
+    """The element of field with these low-to-high coefficients, zero-padded to r."""
+    return FieldElem(field, tuple(coeffs) + (0,) * (field.r - len(coeffs)))
 
 
 class FieldElem:
@@ -390,8 +405,7 @@ class FieldElem:
         f = self.field
         if f.r == 1:
             return FieldElem(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
-        prod = _pmulmod(list(self.coeffs), list(o.coeffs), list(f.modulus), f.p)
-        return FieldElem(f, tuple(prod) + (0,) * (f.r - len(prod)))
+        return _padded(f, _pmulmod(self.coeffs, o.coeffs, f.modulus, f.p))
 
     __rmul__ = __mul__
 
@@ -411,20 +425,13 @@ class FieldElem:
         return o * self.inverse()
 
     def __pow__(self, k):
-        """Square-and-multiply after reducing k mod q - 1, which takes k < 0 too."""
+        """:func:`_ppowmod` after reducing k mod q - 1, which takes k < 0 too."""
+        f = self.field
         if not self:
             if k < 0:
-                raise ZeroDivisionError(f"division by zero in {self.field}")
-            return self.field.one() if k == 0 else self
-        k %= self.field.order - 1
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+                raise ZeroDivisionError(f"division by zero in {f}")
+            return f.one() if k == 0 else self
+        return _padded(f, _ppowmod(self.coeffs, k % (f.order - 1), f.modulus, f.p))
 
     def order(self):
         """Multiplicative order: q - 1 divided by each prime while the power stays one."""
@@ -462,18 +469,28 @@ class FieldElem:
         return f"{self}:{self.field}"
 
 
+@functools.lru_cache(maxsize=None)
 def root_of_unity(field, e):
     """The first element in coefficient-lex order of exact multiplicative order e.
+
+    The elements of order e are the phi(e) powers zeta^k, gcd(k, e) = 1, of
+    zeta = g^((q - 1)/e), g the first primitive element.  A scan meets one
+    after about (q - 1)/phi(e) elements, so while phi(e)^2 < q - 1 the least
+    of the powers is taken instead, and the scan is kept otherwise.
 
     >>> root_of_unity(make_field(5), 4).coeffs
     (2,)
     """
-    if e < 1 or (field.order - 1) % e != 0:
-        raise ValueError(f"no primitive {e}-th root of unity in F_{{{field.order}}}")
-    for x in field.elements_lex():
-        if x and x.order() == e:
-            return x
-    raise AssertionError("unreachable: the multiplicative group is cyclic")
+    q = field.order
+    if e < 1 or (q - 1) % e != 0:
+        raise ValueError(f"no primitive {e}-th root of unity in F_{{{q}}}")
+    primes = _prime_divisors(e)
+    phi = e // math.prod(primes) * math.prod(prime - 1 for prime in primes)
+    if e == q - 1 or phi * phi >= q - 1:
+        return next(x for x in field.elements_lex() if x and x.order() == e)
+    zeta = root_of_unity(field, q - 1) ** ((q - 1) // e)
+    return min((zeta ** k for k in range(1, e + 1) if math.gcd(k, e) == 1),
+               key=lambda x: x.coeffs)
 
 
 def binom_mod_p(d, i, p):
@@ -493,13 +510,7 @@ def binom_mod_p(d, i, p):
 @functools.lru_cache(maxsize=None)
 def _embed_root(src, dst):
     """Image of src's generator in dst: coefficient-lex first root of src.modulus."""
-    for z in dst.elements_lex():
-        acc = dst.zero()
-        for c in reversed(src.modulus):
-            acc = acc * z + c
-        if not acc:
-            return z
-    raise AssertionError("unreachable: subfields of matching degree always embed")
+    return next(z for z in dst.elements_lex() if not _horner(src.modulus, z, dst.zero()))
 
 
 def embed(src, dst, x):
@@ -512,11 +523,7 @@ def embed(src, dst, x):
         return x
     if src.r == 1:
         return dst.elem(x.coeffs[0])
-    z = _embed_root(src, dst)
-    acc = dst.zero()
-    for c in reversed(x.coeffs):
-        acc = acc * z + c
-    return acc
+    return _horner(x.coeffs, _embed_root(src, dst), dst.zero())
 
 
 @dataclass(frozen=True)
@@ -560,27 +567,17 @@ class MatrixFq:
             return NotImplemented
         if self.cols != other.rows or self.field != other.field:
             raise ValueError("matrix dimension or field mismatch")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.field.zero()
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return MatrixFq(self.field, self.rows, other.cols, tuple(out))
+        out = tuple(sum((self.entry(i, k) * other.entry(k, j) for k in range(self.cols)),
+                        self.field.zero())
+                    for i in range(self.rows) for j in range(other.cols))
+        return MatrixFq(self.field, self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times a column vector (tuple of elements)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            functools.reduce(
-                lambda a, b: a + b,
-                (self.entry(i, k) * vec[k] for k in range(self.cols)),
-                self.field.zero(),
-            )
-            for i in range(self.rows)
-        )
+        return tuple(sum((self.entry(i, k) * vec[k] for k in range(self.cols)), self.field.zero())
+                     for i in range(self.rows))
 
     def _gauss_jordan(self):
         """(det, inverse or None) of a square matrix, by Gauss-Jordan on [self | I]."""

@@ -1,0 +1,85 @@
+"""The exit-code contract, case by case, in fresh processes.
+
+Every subcommand must end in one of its documented exit codes (0 pass,
+1 a comparison failed, 2 invalid parameters, 3 a size cap, 10 a conjecture
+mismatch) within a few seconds, whatever the size of its parameters, and a
+refusal (2 or 3) is one stderr line.  The cases sample the boundary axes
+p in {2, 46337, 1000003, 3037000493, 2^61 - 1}, r in {1, 200}, n in {1, 20,
+60} and m in {0, 1, 40}, with caps at 1 and at their defaults.  They run one
+after another, each in its own interpreter, so no cache is shared.
+"""
+
+import json
+import subprocess
+import sys
+import time
+
+import pytest
+
+CODES = {0, 1, 2, 3, 10}
+WALL_LIMIT_S = 5
+MERSENNE_61 = str(2 ** 61 - 1)
+
+# (id, argv, exit code)
+CASES = [
+    ("hilbert-n1-m0", ["hilbert", "--p", "2", "--n", "1", "--m", "0"], 2),
+    ("hilbert-both-defaults", ["hilbert", "--p", "2", "--n", "2", "--m", "1"], 0),
+    ("hilbert-brute-p46337", ["hilbert", "--p", "46337", "--n", "2", "--m", "1", "--e", "2",
+                              "--mode", "brute"], 3),
+    ("hilbert-formula-p2^61-n60-m40", ["hilbert", "--p", MERSENNE_61, "--n", "60",
+                                       "--m", "40", "--mode", "formula"], 3),
+    ("hilbert-r200", ["hilbert", "--p", "2", "--r", "200", "--n", "2", "--m", "1",
+                      "--full-stabilizer"], 3),
+    ("hilbert-cap-1", ["hilbert", "--p", "2", "--n", "2", "--m", "1",
+                       "--max-monomials", "1"], 3),
+    ("decompose-n20", ["decompose", "--p", "2", "--n", "20", "--m", "1"], 3),
+    ("orbits-p1000003", ["orbits", "--p", "1000003", "--n", "2", "--m", "1", "--e", "2"], 3),
+    ("orbits-cap-1", ["orbits", "--p", "2", "--n", "2", "--m", "1", "--max-points", "1"], 3),
+    ("gbcheck-p3037000493-e2", ["gbcheck", "--p", "3037000493", "--n", "2", "--m", "1",
+                                "--e", "2"], 0),
+    ("gbcheck-p1000003-e2-from-scratch", ["gbcheck", "--p", "1000003", "--n", "2", "--m", "1",
+                                          "--e", "2", "--from-scratch"], 0),
+    ("gbcheck-p2^61", ["gbcheck", "--p", MERSENNE_61, "--n", "2", "--m", "1"], 2),
+    ("gbcheck-n60-m40", ["gbcheck", "--p", "2", "--n", "60", "--m", "40"], 3),
+    ("resolution2d-p46337", ["resolution2d", "--p", "46337", "--m", "1", "--e", "2"], 0),
+    ("resolution2d-p499979", ["resolution2d", "--p", "499979", "--m", "1", "--e", "2"], 0),
+    ("resolution2d-m40", ["resolution2d", "--p", "2", "--m", "40", "--e", "1"], 3),
+    ("conjecture-n60-m40", ["conjecture", "--q", "2", "--n", "60", "--m", "40"], 3),
+    ("conjecture-cap-1", ["conjecture", "--q", "2", "--n", "1", "--m", "1",
+                          "--max-monomials", "1"], 3),
+]
+
+# one group, p = 3037000493, n = 2, e = 2: gbcheck passes, the rest reach caps
+SWEEP_MANIFEST = {
+    "grid": {"p": [3037000493], "n": [2], "m": [1], "e": [2]},
+    "commands": ["gbcheck", "hilbert", "decompose", "orbits"],
+}
+
+
+def _check(argv, code):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "frobpow.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    wall = time.perf_counter() - start
+    assert proc.returncode in CODES, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code in (2, 3):
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert wall < WALL_LIMIT_S, f"{wall:.1f} s"
+    return proc
+
+
+@pytest.mark.parametrize("argv,code", [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_subcommand_keeps_the_contract(argv, code):
+    _check(argv, code)
+
+
+def test_one_group_sweep_keeps_the_contract(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(SWEEP_MANIFEST | {"output_dir": str(tmp_path / "out")}))
+    proc = _check(["sweep", "--manifest", str(manifest)], 3)
+    counts = json.loads(proc.stdout)["counts"]
+    assert counts == {"ok": 1, "fail": 0, "cap": 3, "skip": 0}
+    assert proc.stderr == "3 of 4 jobs stopped at a size cap; each job file records its cap\n"

@@ -275,6 +275,64 @@ def test_elements_lex_enumeration():
         assert sorted(seen) == sorted(x.coeffs for x in f.elements())
 
 
+# -- powers -----------------------------------------------------------------
+
+POWER_FIELDS = [F2, F3, F5, F7, make_field(31), make_field(499),
+                F4, F9, F25, F49, F8, F27]
+
+
+@given(st.sampled_from(POWER_FIELDS), st.data())
+@settings(max_examples=150)
+def test_powers_match_builtin_pow_and_repeated_products(f, data):
+    x = f.decode(data.draw(st.integers(0, f.order - 1)))
+    k = data.draw(st.integers(-2 * f.order, 2 * f.order))
+    if not x:
+        if k < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** k
+        else:
+            assert x ** k == (f.one() if k == 0 else f.zero())
+        return
+    product = f.one()
+    for _ in range(abs(k)):
+        product = product * x
+    if k >= 0:
+        assert x ** k == product
+    else:
+        assert x ** k * product == f.one()
+    if f.r == 1:
+        assert (x ** k).coeffs == (pow(x.coeffs[0], k, f.p),)
+
+
+def test_zero_powers():
+    for f in POWER_FIELDS:
+        assert f.zero() ** 0 == f.one()
+        assert f.zero() ** 5 == f.zero()
+        with pytest.raises(ZeroDivisionError):
+            f.zero() ** -3
+
+
+def test_prime_field_powers_make_no_products(monkeypatch):
+    products = []
+    mul = FieldElem.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    for p in (2, 31, 499, 3037000493):
+        c = (p + 1) // 2
+        x = make_field(p).elem(c)
+        assert (x ** (p + 5)).coeffs == (pow(c, p + 5, p),)
+        assert x.inverse().coeffs == (pow(c, -1, p),)
+        assert x.order() >= 1
+    assert products == []
+    assert F9.elem([1, 1]) ** 2 == F9.elem([1, 1]) * F9.elem([1, 1])
+    assert products == [1]
+
+
 # -- roots of unity ---------------------------------------------------------
 
 def test_orders_in_f5_by_integer_powering():
@@ -331,6 +389,57 @@ def test_huge_prime_orders_and_roots():
         for base in (2, 3, p - 1):
             assert F.elem(base).order() == n_order(base, p)
         assert root_of_unity(F, p - 1).order() == p - 1
+
+
+def _prime_powers_up_to(limit):
+    for q in range(2, limit + 1):
+        try:
+            yield factor_prime_power(q)
+        except ValueError:
+            pass
+
+
+def test_root_of_unity_matches_the_plain_scan_on_every_small_field():
+    # the plain scan, for every order at once: walk the powers of the
+    # lex-first primitive element, where g^k has order (q - 1)/gcd(k, q - 1),
+    # and keep the least coefficient tuple of each order
+    for p, r in _prime_powers_up_to(1024):
+        f = make_field(p, r)
+        q1 = f.order - 1
+        g = next(x for x in f.elements_lex() if x and x.order() == q1)
+        orders, x = {}, f.one()
+        for k in range(q1):
+            orders[x.coeffs] = q1 // math.gcd(k, q1)
+            x = x * g
+        first = {}
+        for coeffs in sorted(orders):
+            first.setdefault(orders[coeffs], coeffs)
+        assert sorted(first) == [e for e in range(1, q1 + 1) if q1 % e == 0]
+        for e, coeffs in first.items():
+            assert root_of_unity(f, e).coeffs == coeffs, (p, r, e)
+
+
+def test_root_of_order_two_is_minus_one_without_a_scan(monkeypatch):
+    # minus one is the last residue, so the scan would test every other one
+    scanned = []
+    lex = Field.elements_lex
+
+    def counted(field):
+        for x in lex(field):
+            scanned.append(x)
+            assert len(scanned) < 100, "scanned the field"
+            yield x
+
+    monkeypatch.setattr(Field, "elements_lex", counted)
+    root_of_unity.cache_clear()
+    for p in (1000003, 3037000493, 2 ** 61 - 1):
+        f = make_field(p)
+        assert root_of_unity(f, 2) == f.elem(-1)
+
+
+def test_root_of_unity_is_cached_per_field_and_order():
+    assert root_of_unity(F25, 8) is root_of_unity(make_field(5, 2), 8)
+    assert root_of_unity(F25, 8) is not root_of_unity(F25, 4)
 
 
 def test_root_of_unity_error():
