@@ -61,7 +61,9 @@ def _spec_from_args(args):
         p, r = args.p, args.r
     else:
         raise ValueError("a base field is required: --p (with --r) or --q")
-    return _build_spec(p, r, args.n, args.ell, args.e, args.full_stabilizer)
+    if args.full_stabilizer:  # a given --ell or --e must agree with the stabilizer
+        return GroupSpec(p=p, r=r, n=args.n, ell=args.ell, e=args.e, full_stabilizer=True)
+    return _build_spec(p, r, args.n, args.ell, args.e, False)
 
 
 def _build_spec(p, r, n, ell, e, full_stabilizer):

@@ -1,11 +1,11 @@
 """Hyperplane-fixing reflection groups in their normalized basis.
 
-A spec names either the normalized family over a prime field (generated by
-up to ell transvections and one diagonal reflection of order e) or the full
-pointwise stabilizer of the hyperplane ker(x_n) inside GL_n(F_q).  Groups
-are built as explicit generator matrices, enumerated by closure, and act on
-polynomials through inverse-matrix substitution, so the displayed forms
-x_k -> x_k - x_n and x_n -> w^{-1} x_n hold literally.
+Every group is the family (q, n, ell, e) over F_q = GF(p^r): a diagonal
+reflection of order e and transvections with roots over an F_p-basis of F_q
+in the first ell coordinates of ker(x_n); the full pointwise stabilizer in
+GL_n(F_q) is ell = n - 1, e = q - 1.  Groups are generator matrices,
+enumerated by closure, acting on polynomials by inverse-matrix substitution,
+so the displayed forms x_k -> x_k - x_n and x_n -> w^{-1} x_n hold literally.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ ENUM_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Parameters (p, r, n, ell, e) of a hyperplane-fixing group.
+    """Parameters (p, r, n, ell, e) of a hyperplane-fixing group of order e q^ell.
 
-    ell counts independent transvection roots inside the hyperplane, e is the
-    order of the diagonal reflection; full_stabilizer selects all of
-    GL_n(F_q)_H, which forces ell = n - 1 and e = q - 1.
+    ell counts hyperplane coordinates carrying roots over all of F_q, e is the
+    order of the diagonal reflection.  For r > 1 only ell = 0 and
+    full_stabilizer, GL_n(F_q)_H with ell = n - 1 and e = q - 1, are admitted.
     """
 
     p: int
@@ -71,9 +71,7 @@ class GroupSpec:
 
     @property
     def group_order(self):
-        if self.full_stabilizer:
-            return self.q ** (self.n - 1) * (self.q - 1)
-        return self.e * self.p ** self.ell
+        return self.e * self.q ** self.ell
 
     def to_json(self):
         return {
@@ -105,18 +103,16 @@ def build_group(spec):
     basis: diagonal first, then transvections.
 
     The transvection I + gamma E_{k,n} adds gamma v_n to v_k, dually
-    x_k -> x_k - gamma x_n.
+    x_k -> x_k - gamma x_n, for every k < ell and gamma in the F_p-basis
+    1, alpha, ..., alpha^(r-1) of F_q.
     """
     field, n = spec.field, spec.n
     gens = []
     if spec.e > 1:
         gens.append(_diagonal(field, n, root_of_unity(field, spec.e)))
-    if spec.full_stabilizer:
-        basis = [field.elem([0] * i + [1]) for i in range(spec.r)]
-        gammas = [(k, gamma) for k in range(n - 1) for gamma in basis]
-    else:
-        gammas = [(k, 1) for k in range(spec.ell)]
-    gens += [MatrixFq.elementary(field, n, k, n - 1, gamma) for k, gamma in gammas]
+    basis = [field.elem([0] * i + [1]) for i in range(spec.r)]
+    gens += [MatrixFq.elementary(field, n, k, n - 1, gamma)
+             for k in range(spec.ell) for gamma in basis]
     return gens
 
 

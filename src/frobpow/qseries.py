@@ -183,58 +183,15 @@ def qt_binomial(m, k, q, D):
 
 # -- closed-form Hilbert series ----------------------------------------------
 
-def _hyperplane_series(w, n, m, ell, e, D, label):
-    """The family series over a root field of size w, from every printed form.
-
-    Expands the product form, the split form, the rational form and, when
-    e = w - 1, the (q,t)-binomial form independently and insists they agree;
-    the returned series carries the caller's label.
-    """
-    if m < 1:
-        raise ValueError("Frobenius exponent m must be at least 1")
-    P = w ** m
-    D = n * (P - 1) if D is None else D
-    _charge(max(D, n * (P - 1)) + 1)
-    # the prefactor [P]_t^{n-ell-1} [w^{m-1}]_{t^w}^ell, distributed over each bracket
-    ups, downs = [P] * (n - 1), [1] * (n - ell - 1) + [w] * ell
-    shifted = [0] * (P - 1) + [1]
-    head = _ratio([1], ups + [P - 1], downs + [e])
-    out = _series(_add(head, _ratio(shifted, ups + [w] * ell, downs + [1] * ell)), D,
-                  closed_form=label)
-    # each other form is compared as soon as it is built, to hold few lists at once
-    tail = _ratio(shifted, [P] * (n - 1), [1] * (n - 1))
-    assert out.coeffs == _trim(_add(head, tail), D), "printed forms disagree"
-    del head
-    bracket = _add(_ratio([1], [P - 1]), _ratio(shifted, [e] + [w] * ell, [1] * ell))
-    numer = enumerate(_ratio(bracket, [P] * (n - 1)))
-    rational = RationalExpr(tuple((c, d) for d, c in numer if c), tuple(downs + [e]))
-    assert out.coeffs == expand(rational, D).coeffs, "printed forms disagree"
-    if e == w - 1:
-        binomial = _add(_qt_poly(m, 1, w, _ratio([1], ups, downs)), tail)
-        assert out.coeffs == _trim(binomial, D), "printed forms disagree"
-    return out
-
-
 def hilbert_main_fp(p, n, m, ell, e, D=None):
     """Fixed-space Hilbert series for a transvection family over F_p."""
-    GroupSpec(p=p, n=n, ell=ell, e=e)
-    P = p ** m
-    label = (f"((1-t^{P})/(1-t))^{n - ell - 1} ((1-t^{P})/(1-t^{p}))^{ell} "
-             f"[(1-t^{P - 1})/(1-t^{e}) + t^{P - 1} ((1-t^{p})/(1-t))^{ell}]")
-    return _hyperplane_series(p, n, m, ell, e, D, label)
+    return hilbert_for_spec(GroupSpec(p=p, n=n, ell=ell, e=e), m, D)
 
 
 def hilbert_stabilizer_fq(q, n, m, D=None):
-    """Fixed-space Hilbert series for the full hyperplane stabilizer in GL_n(F_q).
-
-    It is the family series with root field F_q, ell = n - 1 and e = q - 1.
-    """
+    """Fixed-space Hilbert series for the full hyperplane stabilizer in GL_n(F_q)."""
     p, r = factor_prime_power(q)
-    GroupSpec(p=p, r=r, n=n, full_stabilizer=True)
-    Q = q ** m
-    label = (f"((1-t^{Q})/(1-t^{q}))^{n - 1} "
-             f"[(1-t^{Q - 1})/(1-t^{q - 1}) + t^{Q - 1} ((1-t^{q})/(1-t))^{n - 1}]")
-    return _hyperplane_series(q, n, m, n - 1, q - 1, D, label)
+    return hilbert_for_spec(GroupSpec(p=p, r=r, n=n, full_stabilizer=True), m, D)
 
 
 def hilbert_A(w, n, m, e, D=None):
@@ -291,16 +248,47 @@ def lrs_conjecture(q, n, m, D=None):
 def has_closed_form(spec):
     """Whether hilbert_for_spec has a formula for the spec.
 
-    The transvection-family formula needs the prime field; a proper-extension
-    spec without the full stabilizer has no established closed form here.
+    Every spec is the family (q, n, ell, e) over F_q; the formula is
+    established here for r = 1 and for the full stabilizer only.
     """
     return spec.full_stabilizer or spec.r == 1
 
 
 def hilbert_for_spec(spec, m, D=None):
-    """Closed-form series for a group spec, or None when no formula applies."""
+    """Closed-form series for a group spec, or None when no formula applies.
+
+    Expands the product form, the split form, the rational form and, when
+    e = q - 1, the (q,t)-binomial form of the family series independently
+    and insists they agree.  The full stabilizer's label leaves out the
+    factor ((1-t^Q)/(1-t))^0.
+    """
     if not has_closed_form(spec):
         return None
-    if spec.full_stabilizer:
-        return hilbert_stabilizer_fq(spec.q, spec.n, m, D)
-    return hilbert_main_fp(spec.p, spec.n, m, spec.ell, spec.e, D)
+    if m < 1:
+        raise ValueError("Frobenius exponent m must be at least 1")
+    q, n, ell, e = spec.q, spec.n, spec.ell, spec.e
+    P = q ** m
+    label = (f"((1-t^{P})/(1-t^{q}))^{ell} "
+             f"[(1-t^{P - 1})/(1-t^{e}) + t^{P - 1} ((1-t^{q})/(1-t))^{ell}]")
+    if not spec.full_stabilizer:
+        label = f"((1-t^{P})/(1-t))^{n - ell - 1} " + label
+    D = n * (P - 1) if D is None else D
+    _charge(max(D, n * (P - 1)) + 1)
+    # the prefactor [P]_t^{n-ell-1} [q^{m-1}]_{t^q}^ell, distributed over each bracket
+    ups, downs = [P] * (n - 1), [1] * (n - ell - 1) + [q] * ell
+    shifted = [0] * (P - 1) + [1]
+    head = _ratio([1], ups + [P - 1], downs + [e])
+    out = _series(_add(head, _ratio(shifted, ups + [q] * ell, downs + [1] * ell)), D,
+                  closed_form=label)
+    # each other form is compared as soon as it is built, to hold few lists at once
+    tail = _ratio(shifted, [P] * (n - 1), [1] * (n - 1))
+    assert out.coeffs == _trim(_add(head, tail), D), "printed forms disagree"
+    del head
+    bracket = _add(_ratio([1], [P - 1]), _ratio(shifted, [e] + [q] * ell, [1] * ell))
+    numer = enumerate(_ratio(bracket, [P] * (n - 1)))
+    rational = RationalExpr(tuple((c, d) for d, c in numer if c), tuple(downs + [e]))
+    assert out.coeffs == expand(rational, D).coeffs, "printed forms disagree"
+    if e == q - 1:
+        binomial = _add(_qt_poly(m, 1, q, _ratio([1], ups, downs)), tail)
+        assert out.coeffs == _trim(binomial, D), "printed forms disagree"
+    return out

@@ -163,6 +163,23 @@ class TestHilbert:
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--ell", "0", "--e", "2"], "forces ell = n - 1"),
+        (["--e", "2"], "forces e = q - 1")], ids=["ell", "e"])
+    def test_full_stabilizer_contradiction_exits_2(self, capsys, flags, message):
+        code = main(["hilbert", "--p", "5", "--n", "3", "--m", "1",
+                     "--full-stabilizer", *flags])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and message in err
+
+    def test_full_stabilizer_agreeing_flags_change_nothing(self, capsys):
+        argv = ["hilbert", "--p", "5", "--n", "3", "--m", "1", "--full-stabilizer"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--ell", "2", "--e", "4"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_missing_field_exits_2(self, capsys):
         code = main(["hilbert", "--n", "2", "--m", "1"])
         assert code == 2

@@ -3,10 +3,12 @@
 Every subcommand must end in one of its documented exit codes (0 pass,
 1 a comparison failed, 2 invalid parameters, 3 a size cap, 10 a conjecture
 mismatch) within a few seconds, whatever the size of its parameters, and a
-refusal (2 or 3) is one stderr line.  The cases sample the boundary axes
-p in {2, 46337, 1000003, 3037000493, 2^61 - 1}, r in {1, 200}, n in {1, 20,
-60} and m in {0, 1, 40}, with caps at 1 and at their defaults.  They run one
-after another, each in its own interpreter, so no cache is shared.
+refusal (2 or 3) is one stderr line and, in every format, no stdout.  The
+cases sample the boundary axes p in {2, 46337, 1000003, 3037000493,
+3037000507, 2^61 - 1}, r in {1, 2, 200}, n in {1, 20, 40, 60}, m in {0, 1,
+40} and truncation degrees up to 10^12, with caps at 1 and at their
+defaults.  They run one after another, each in its own interpreter, so no
+cache is shared.
 """
 
 import json
@@ -19,6 +21,8 @@ import pytest
 CODES = {0, 1, 2, 3, 10}
 WALL_LIMIT_S = 5
 MERSENNE_61 = str(2 ** 61 - 1)
+P_INT64 = "3037000507"
+TRUNCATE_HUGE = str(10 ** 12)
 
 # (id, argv, exit code)
 CASES = [
@@ -47,6 +51,35 @@ CASES = [
     ("conjecture-n60-m40", ["conjecture", "--q", "2", "--n", "60", "--m", "40"], 3),
     ("conjecture-cap-1", ["conjecture", "--q", "2", "--n", "1", "--m", "1",
                           "--max-monomials", "1"], 3),
+    # the first prime past the int64 code range
+    ("hilbert-brute-p3037000507", ["hilbert", "--p", P_INT64, "--n", "2", "--m", "1",
+                                   "--mode", "brute"], 3),
+    ("gbcheck-p3037000507-e2", ["gbcheck", "--p", P_INT64, "--n", "2", "--m", "1",
+                                "--e", "2"], 2),
+    ("hilbert-brute-p3037000507-r2", ["hilbert", "--p", P_INT64, "--r", "2", "--n", "2",
+                                      "--m", "1", "--ell", "0", "--e", "1",
+                                      "--mode", "brute"], 2),
+    # r = 2: the default family is not admitted, a diagonal has no closed form
+    ("hilbert-r2", ["hilbert", "--p", "2", "--r", "2", "--n", "2", "--m", "1"], 2),
+    ("hilbert-r2-ell0-e3", ["hilbert", "--p", "2", "--r", "2", "--n", "2", "--m", "1",
+                            "--ell", "0", "--e", "3"], 2),
+    ("decompose-r2-full-stabilizer", ["decompose", "--p", "2", "--r", "2", "--n", "2",
+                                      "--m", "1", "--full-stabilizer"], 0),
+    ("hilbert-full-stabilizer-contradiction", ["hilbert", "--p", "5", "--n", "3", "--m", "1",
+                                               "--full-stabilizer", "--ell", "0", "--e", "2"],
+     2),
+    # huge truncation degrees
+    ("hilbert-truncate-10^12", ["hilbert", "--p", "2", "--n", "2", "--m", "1",
+                                "--truncate", TRUNCATE_HUGE], 3),
+    ("hilbert-formula-truncate-10^12", ["hilbert", "--p", "2", "--n", "2", "--m", "1",
+                                        "--truncate", TRUNCATE_HUGE, "--mode", "formula"], 3),
+    ("conjecture-truncate-10^12", ["conjecture", "--q", "2", "--n", "2", "--m", "1",
+                                   "--truncate", TRUNCATE_HUGE], 3),
+    # a refusal in csv or pretty prints nothing on stdout either
+    ("hilbert-p6-csv", ["hilbert", "--p", "6", "--n", "2", "--m", "1", "--format", "csv"], 2),
+    ("hilbert-n40-pretty", ["hilbert", "--p", "2", "--n", "40", "--m", "1",
+                            "--format", "pretty"], 3),
+    ("gbcheck-n60-csv", ["gbcheck", "--p", "2", "--n", "60", "--m", "1", "--format", "csv"], 3),
 ]
 
 # one group, p = 3037000493, n = 2, e = 2: gbcheck passes, the rest reach caps
@@ -66,6 +99,8 @@ def _check(argv, code):
     assert proc.returncode == code, proc.stderr
     if code in (2, 3):
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        if argv[0] != "sweep":  # sweep prints its counts before it exits 3
+            assert proc.stdout == "", proc.stdout[:200]
     assert wall < WALL_LIMIT_S, f"{wall:.1f} s"
     return proc
 

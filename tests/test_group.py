@@ -1,10 +1,11 @@
 """Group construction, enumeration, and reflection classification.
 
-Oracles: the order formulas e*p^ell and q^{n-1}(q-1) against breadth-first
-closure, the product formula for |GL_n(F_q)|, and hand-pinned generator
-matrices for the five-element-field archetype.
+Oracles: the order formula e*q^ell against breadth-first closure, the
+product formula for |GL_n(F_q)|, and hand-pinned generator matrices for the
+five-element-field archetype and the GF(4) and GF(9) stabilizers.
 """
 
+import itertools
 import random
 
 import pytest
@@ -85,6 +86,62 @@ def test_generator_counts():
     assert len(build_group(GroupSpec(p=2, n=3, ell=2, e=1))) == 2
     # full stabilizer over F_4: 2 transvections per scaled root plus a diagonal
     assert len(build_group(GroupSpec(p=2, r=2, n=2, full_stabilizer=True))) == 3
+
+
+def _admitted_specs(p, r):
+    """Every spec over GF(p^r) with n <= 4 that GroupSpec accepts."""
+    q = p ** r
+    for n, full in itertools.product((2, 3, 4), (False, True)):
+        for ell, e in itertools.product(range(n), range(1, q)):
+            try:
+                yield GroupSpec(p=p, r=r, n=n, ell=ell, e=e, full_stabilizer=full)
+            except ValueError:
+                pass
+
+
+FIELDS_TO_64 = [(p, r) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                                  47, 53, 59, 61)
+                for r in range(1, 7) if p ** r <= 64]
+
+
+@pytest.mark.parametrize("p,r", FIELDS_TO_64, ids=[f"q{p ** r}" for p, r in FIELDS_TO_64])
+def test_every_admitted_spec_counts_its_generators(p, r):
+    # a diagonal when e > 1, then r scaled roots for each of the ell coordinates
+    q = p ** r
+    specs = list(_admitted_specs(p, r))
+    assert sum(s.full_stabilizer for s in specs) == 3
+    for spec in specs:
+        assert len(build_group(spec)) == (spec.e > 1) + spec.ell * r
+        assert spec.group_order == spec.e * q ** spec.ell
+        if q <= 16 and spec.group_order <= 256:
+            assert len(group_elements(spec)) == spec.group_order
+        if spec.full_stabilizer:
+            assert (spec.ell, spec.e) == (spec.n - 1, q - 1)
+        elif r > 1:
+            assert spec.ell == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_prime_field_stabilizer_is_the_largest_family(p, n):
+    full = build_group(GroupSpec(p=p, n=n, full_stabilizer=True))
+    assert full == build_group(GroupSpec(p=p, n=n, ell=n - 1, e=p - 1))
+
+
+@pytest.mark.parametrize("p,r,want", [
+    # GF(4) = F_2[a]/(a^2 + a + 1): diag(1, a), then roots 1 and a
+    (2, 2, [[[(1, 0), (0, 0)], [(0, 0), (0, 1)]],
+            [[(1, 0), (1, 0)], [(0, 0), (1, 0)]],
+            [[(1, 0), (0, 1)], [(0, 0), (1, 0)]]]),
+    # GF(9) = F_3[a]/(a^2 + 1): diag(1, 1 + a) of order 8, then roots 1 and a
+    (3, 2, [[[(1, 0), (0, 0)], [(0, 0), (1, 1)]],
+            [[(1, 0), (1, 0)], [(0, 0), (1, 0)]],
+            [[(1, 0), (0, 1)], [(0, 0), (1, 0)]]]),
+])
+def test_extension_stabilizer_generators_pinned(p, r, want):
+    gens = build_group(GroupSpec(p=p, r=r, n=2, full_stabilizer=True))
+    assert [[[g.entry(i, j).coeffs for j in range(2)] for i in range(2)]
+            for g in gens] == want
 
 
 def test_trivial_group():
