@@ -57,10 +57,16 @@ class CapExceeded(RuntimeError):
     """An enumeration or matrix crossed its configured safety cap."""
 
 
+def count_str(n):
+    """n in decimal, or as "about 2^k" past 20 digits, so a refusal stays one short line."""
+    return str(n) if n < 10 ** 20 else f"about 2^{round(math.log2(n))}"
+
+
 def check_cap(need, cap, subject, unit):
     """CapExceeded when need units of an enumeration pass its cap."""
     if need > cap:
-        raise CapExceeded(f"{subject} needs {need} {unit}, above the cap of {cap}")
+        raise CapExceeded(f"{subject} needs {count_str(need)} {unit}, "
+                          f"above the cap of {count_str(cap)}")
 
 
 _TRIAL_LIMIT = 1000  # trial divisors stay below it, so it decides n < 999^2
@@ -757,7 +763,7 @@ _ENTRY_BYTES = 48
 def check_budget(nbytes, what):
     """CapExceeded when an allocation of nbytes would pass MATRIX_BYTE_CAP."""
     if nbytes > MATRIX_BYTE_CAP:
-        raise CapExceeded(f"{what} needs {nbytes >> 20} MiB, "
+        raise CapExceeded(f"{what} needs {count_str(nbytes >> 20)} MiB, "
                           f"above the budget of {MATRIX_BYTE_CAP >> 20} MiB")
 
 
@@ -782,8 +788,9 @@ class CodeEntries:
     list the entries row by row and each row by column.  The constructor
     checks that the shape fits 63 bits and charges ``capacity`` entries
     against MATRIX_BYTE_CAP before it allocates; :meth:`add` appends
-    entries, whose codes must be canonical and nonzero.  An elimination
-    (:meth:`block_ranks`, :meth:`nullspace`) consumes them.
+    entries, whose codes must be canonical and nonzero, until they fill the
+    capacity exactly.  An elimination (:meth:`block_ranks`,
+    :meth:`nullspace`) consumes them.
     Positions and columns are held as ``index``: int32 while the budget
     admits fewer than 2^31 entries, as it does by default.
     """
@@ -888,8 +895,7 @@ class CodeEntries:
         """
         codes, cs, rs = self.codes, self.col_shift, self.row_shift
         vmask, cmask = (1 << cs) - 1, (1 << (rs - cs)) - 1
-        if self.size < len(self.keys):  # the capacity was an upper bound
-            self.keys = self.keys[:self.size].copy()
+        assert self.size == len(self.keys), "the entries must fill the capacity charged"
         self.keys.sort()
         first = np.full(self.ncols, -1, dtype=self.index)
         length = np.zeros(self.ncols, dtype=self.index)

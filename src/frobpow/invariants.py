@@ -13,7 +13,7 @@ codes in numpy arrays, with no field element objects per monomial:
 * an elementary transvection whose inverse substitutes x_k -> x_k + c x_l
   sends x^a to sum_j C(a_k, j) c^j x^(a - j e_k + j e_l), so its (g - 1)
   columns are the terms j >= 1 with a_l + j < Q and C(a_k, j) nonzero mod
-  p, read from a table of binomials made by Lucas' theorem;
+  p, a window of a table of binomials made by Lucas' theorem;
 * the (g - 1) blocks of all transvections are stacked into one sparse
   matrix, and a single elimination ranks every degree's block, or gives
   every degree's kernel; any other kind of generator is rejected.
@@ -22,14 +22,14 @@ The A/B decomposition is built as entry arrays too.  Every coefficient
 lies in the prime subfield, so a residue mod p is its own code.  A is
 spanned by the f-monomials' expansions, listed from a numpy grid of
 f-exponents and expanded one binomial f_i at a time into terms (vector,
-exponents, code); B by single monomials, a mask over the table.  Each
-degree's A, B and stacked A + B rows are three column blocks of one
-elimination.
+exponents, code), each binomial's terms a Lucas window of the same table;
+B by single monomials, a mask over the table.  Each degree's A, B and
+stacked A + B rows are three column blocks of one elimination.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
 enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them, of every
 step of the A expansion and of every elimination, whose terms and entries
-are counted and charged before any is built.
+are counted exactly and charged before any is built.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, MatrixFq, _code_dtype, _segme
 from .group import GroupSpec, build_group, full_gl_generators
 
 SPAIR_CAP = 10 ** 4  # S-pairs of the h-generators a Groebner check may reduce
+SPAIR_WORK_CAP = 10 ** 7  # S-pairs times m^4: dividing by the m-term h_{1,a} costs ~m^4
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,17 @@ def h_generators(spec, m):
     Requires the maximal-root-space case (ell = n - 1 over the prime field)
     or the full stabilizer; w = q is the degree of the first basic invariants
     and e divides w^m - 1 exactly.  Its g = n(n + 1)/2 generators give
-    g(g - 1)/2 S-pairs, whose count is checked against SPAIR_CAP before
-    anything is built.
+    g(g - 1)/2 S-pairs, checked against SPAIR_CAP, and times m^4 against
+    SPAIR_WORK_CAP, before anything is built.
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     if spec.ell != spec.n - 1:
         raise ValueError("h-generators need ell = n - 1 or the full stabilizer")
     g = spec.n * (spec.n + 1) // 2
-    check_cap(g * (g - 1) // 2, SPAIR_CAP, "the S-pair check", "pairs")
+    pairs = g * (g - 1) // 2
+    check_cap(pairs, SPAIR_CAP, "the S-pair check", "pairs")
+    check_cap(pairs * m ** 4, SPAIR_WORK_CAP, "the S-pair check", "pairs times m^4")
     from .poly import reduce_mod_frobenius
 
     basics = basic_invariants(spec)
@@ -294,6 +297,25 @@ def _binomial_pairs(p, Q):
     return keys, codes
 
 
+def _lucas_window(p, Q, a, lo, hi):
+    """(first, counts): the runs of rows of _binomial_pairs(p, Q) that hold
+    the pairs (a_i, j) with lo_i <= j <= hi_i; every bound lies in [0, Q)."""
+    keys = _binomial_pairs(p, Q)[0]
+    a = a.astype(np.int64) * Q
+    first = np.searchsorted(keys, a + lo)
+    counts = np.searchsorted(keys, a + hi, side="right") - first
+    return first.astype(np.int32), np.maximum(counts, 0)
+
+
+def _lucas_terms(p, Q, first, counts):
+    """(window, j, C(a, j) mod p) for every pair (a, j) in windows of _lucas_window."""
+    keys, binomials = _binomial_pairs(p, Q)
+    pick = _segments(first, counts)
+    j = keys[pick]
+    j %= Q
+    return np.repeat(np.arange(len(counts), dtype=np.int32), counts), j, binomials[pick]
+
+
 def _split_generators(gens, Q):
     """(logs, moves): the generators as integer data.
 
@@ -338,20 +360,12 @@ def _transvection_terms(cols, move, field, Q):
     g^{-1} substitutes x_k -> x_k + c x_l, so x^a goes to the sum over j of
     C(a_k, j) c^j x^(a - j e_k + j e_l).  The j = 0 term cancels against the
     identity, terms with a_l + j >= Q vanish in the quotient and so do those
-    whose binomial is zero mod p, so a column's terms are the pairs (a_k, j)
-    of _binomial_pairs with 1 <= j <= Q - 1 - a_l.  A row is the code of the
-    term's monomial (see _codes).
+    whose binomial is zero mod p, so a column's terms are the Lucas window
+    of a_k with 1 <= j <= Q - 1 - a_l.  A row is the code of the term's
+    monomial (see _codes).
     """
     k, l, powers = move
-    keys, binomials = _binomial_pairs(field.p, Q)
-    low = cols[:, k].astype(np.int64) * Q
-    first = np.searchsorted(keys, low, side="right").astype(np.int32)  # past j = 0
-    counts = np.searchsorted(keys, low + (Q - 1 - cols[:, l]), side="right") - first
-    pick = _segments(first, counts)
-    col = np.repeat(np.arange(len(cols), dtype=np.int32), counts)
-    j, binomials = keys[pick], binomials[pick]
-    del pick
-    j %= Q
+    col, j, binomials = _lucas_terms(field.p, Q, *_transvection_window(cols, move, field.p, Q))
     codes = code_arithmetic(field).mul(binomials, powers[j])
     del binomials
     n = cols.shape[1]
@@ -360,24 +374,30 @@ def _transvection_terms(cols, move, field, Q):
     return j, col, codes
 
 
+def _transvection_window(cols, move, p, Q):
+    """_lucas_window of one transvection's terms on the columns with exponents cols."""
+    k, l, _ = move
+    return _lucas_window(p, Q, cols[:, k], 1, Q - 1 - cols[:, l])
+
+
 def _fixed_space(gens, field, n, Q, want_basis=False):
     """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q].
 
     The columns are the monomials every diagonal generator fixes, in table
     order, so each degree is a block of consecutive columns.  The rows are
     the (g - 1) stacks of all transvections, move i's rows i Q^n plus the
-    codes of its terms' monomials.  The terms j >= 1 inside the quotient,
-    min(a_k, Q - 1 - a_l) per column, are counted, and charged, before any
-    entry is built; each move's entries are packed, and its arrays freed,
-    before the next.  One elimination gives every degree's rank, or one
-    nullspace every degree's basis: a kernel vector lies in the degree of
-    its free column.
+    codes of its terms' monomials.  Every move's terms, the sizes of its
+    Lucas windows, are counted and charged exactly before any entry is
+    built; each move's window is found again to build its entries, which
+    are packed, and its arrays freed, before the next.  One elimination
+    gives every degree's rank, or one nullspace every degree's basis: a
+    kernel vector lies in the degree of its free column.
     """
     exps, starts = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
     cols = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
     bounds, cols = np.searchsorted(cols, starts), exps[cols]  # now their exponents
-    terms = sum(int(np.minimum(cols[:, k], Q - 1 - cols[:, l]).sum()) for k, l, _ in moves)
+    terms = sum(int(_transvection_window(cols, move, field.p, Q)[1].sum()) for move in moves)
     entries = CodeEntries(terms, len(moves) * len(exps), len(cols), field)
     for i, move in enumerate(moves):
         rows, cidx, codes = _transvection_terms(cols, move, field, Q)
@@ -440,9 +460,9 @@ def _a_terms(spec, Q):
     whose two exponents add up to q b_i and lie below Q, so b_i <= 2(Q-1)/q.
     The terms start as the grid itself; each binomial in turn replaces every
     term by its picks j that keep x_i and x_n below Q and C(b_i, j) nonzero
-    mod p, read from _binomial_pairs.  The x_i exponent grows with j, so
-    distinct picks are distinct monomials and none cancel.  Every step's
-    terms are charged before they are built.
+    mod p: a Lucas window of b_i (see _lucas_window).  The x_i exponent
+    grows with j, so distinct picks are distinct monomials and none cancel.
+    Every step's terms are charged before they are built.
     """
     n, ell, q, p = spec.n, spec.ell, spec.q, spec.p
     caps = (2 * (Q - 1) // q + 1,) * ell + (Q,) * (n - 1 - ell) + ((Q - 1) // spec.e + 1,)
@@ -452,15 +472,13 @@ def _a_terms(spec, Q):
     exps[:, n - 1] *= spec.e
     vector, codes = np.arange(size), np.ones(size, dtype=np.int64)
     for i in range(ell):
-        keys, binomials = _binomial_pairs(p, Q)
         b, top = exps[:, i], exps[:, n - 1]
-        first = np.searchsorted(keys, b * Q + np.maximum(b - (Q - 1 - top) // (q - 1), 0))
-        last = np.searchsorted(keys, b * Q + np.minimum(b, (Q - 1 - b) // (q - 1)), side="right")
-        counts = np.maximum(last - first, 0)
+        first, counts = _lucas_window(p, Q, b, np.maximum(b - (Q - 1 - top) // (q - 1), 0),
+                                      (Q - 1 - b) // (q - 1))  # the table has j <= b
         total = int(counts.sum())
         _term_charge(len(vector), total, n, f"expanding the f-monomials into {total} terms")
-        pick, term = _segments(first, counts), np.repeat(np.arange(len(counts)), counts)
-        j, coef = keys[pick] % Q, binomials[pick]
+        term, j, coef = _lucas_terms(p, Q, first, counts)
+        del first, counts
         coef[(b[term] - j) % 2 == 1] *= -1
         vector, codes, exps = vector[term], codes[term] * coef % p, exps[term]
         exps[:, n - 1] += (q - 1) * (exps[:, i] - j)

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .ff import check_budget, factor_prime_power
+from .ff import check_budget, count_str, factor_prime_power
 from .group import GroupSpec
 
 
@@ -103,7 +103,7 @@ _COEFF_BYTES = 256
 
 def _charge(length):
     """check_budget for building series lists of length coefficients."""
-    check_budget(_COEFF_BYTES * length, f"a series of {length} coefficients")
+    check_budget(_COEFF_BYTES * length, f"a series of {count_str(length)} coefficients")
 
 
 def _ratio(a, ups=(), downs=()):
@@ -268,12 +268,12 @@ def hilbert_for_spec(spec, m, D=None):
         raise ValueError("Frobenius exponent m must be at least 1")
     q, n, ell, e = spec.q, spec.n, spec.ell, spec.e
     P = q ** m
+    D = n * (P - 1) if D is None else D
+    _charge(max(D, n * (P - 1)) + 1)
     label = (f"((1-t^{P})/(1-t^{q}))^{ell} "
              f"[(1-t^{P - 1})/(1-t^{e}) + t^{P - 1} ((1-t^{q})/(1-t))^{ell}]")
     if not spec.full_stabilizer:
         label = f"((1-t^{P})/(1-t))^{n - ell - 1} " + label
-    D = n * (P - 1) if D is None else D
-    _charge(max(D, n * (P - 1)) + 1)
     # the prefactor [P]_t^{n-ell-1} [q^{m-1}]_{t^q}^ell, distributed over each bracket
     ups, downs = [P] * (n - 1), [1] * (n - ell - 1) + [q] * ell
     shifted = [0] * (P - 1) + [1]

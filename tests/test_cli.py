@@ -199,16 +199,16 @@ class TestHilbert:
         assert "above the cap" in capsys.readouterr().err
 
     def test_matrix_cap_exits_3_quickly(self, capsys, monkeypatch):
-        # 27^4 monomials pass the default monomial cap; under a 256 MiB
-        # budget the 6965595 transvection terms are refused before any is built
-        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 256 * 2 ** 20)
+        # 27^4 monomials pass the default monomial cap; under a 128 MiB
+        # budget the 3626046 transvection terms are refused before any is built
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 128 * 2 ** 20)
         invariants._brute_dims.cache_clear()
         start = time.perf_counter()
         code = main(["hilbert", "--p", "3", "--n", "4", "--m", "3", "--mode", "brute"])
         assert time.perf_counter() - start < 10
         assert code == 3
         err = capsys.readouterr().err
-        assert "eliminating a matrix of 6965595 entries needs" in err
+        assert "eliminating a matrix of 3626046 entries needs" in err
         assert err.count("\n") == 1
 
     def test_largest_quotient_within_the_monomial_cap_matches(self, capsys):

@@ -23,6 +23,8 @@ WALL_LIMIT_S = 5
 MERSENNE_61 = str(2 ** 61 - 1)
 P_INT64 = "3037000507"
 TRUNCATE_HUGE = str(10 ** 12)
+M_HUGE = "20000"  # 2^20000 has 6021 digits
+REFUSAL_CHARS = 300
 
 # (id, argv, exit code)
 CASES = [
@@ -80,11 +82,24 @@ CASES = [
     ("hilbert-n40-pretty", ["hilbert", "--p", "2", "--n", "40", "--m", "1",
                             "--format", "pretty"], 3),
     ("gbcheck-n60-csv", ["gbcheck", "--p", "2", "--n", "60", "--m", "1", "--format", "csv"], 3),
+    # counts past the 4300-digit int-to-str limit, and S-pair division work
+    *[(f"hilbert-{mode}-m20000", ["hilbert", "--p", "2", "--n", "2", "--m", M_HUGE,
+                                  "--mode", mode], 3) for mode in ("formula", "brute", "both")],
+    *[(f"{command}-m20000", [command, "--p", "2", "--n", "2", "--m", M_HUGE], 3)
+      for command in ("decompose", "orbits", "gbcheck")],
+    ("conjecture-m20000", ["conjecture", "--q", "2", "--n", "2", "--m", M_HUGE], 3),
+    ("resolution2d-m20000", ["resolution2d", "--p", "2", "--m", M_HUGE, "--e", "1"], 3),
+    ("gbcheck-m1000", ["gbcheck", "--p", "2", "--n", "2", "--m", "1000"], 3),
 ]
 
 # one group, p = 3037000493, n = 2, e = 2: gbcheck passes, the rest reach caps
 SWEEP_MANIFEST = {
     "grid": {"p": [3037000493], "n": [2], "m": [1], "e": [2]},
+    "commands": ["gbcheck", "hilbert", "decompose", "orbits"],
+}
+# one group, p = 2, n = 2: every m = 1 job passes, every m = 20000 job reaches a cap
+HUGE_M_MANIFEST = {
+    "grid": {"p": [2], "n": [2], "m": [1, int(M_HUGE)]},
     "commands": ["gbcheck", "hilbert", "decompose", "orbits"],
 }
 
@@ -99,6 +114,7 @@ def _check(argv, code):
     assert proc.returncode == code, proc.stderr
     if code in (2, 3):
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert len(proc.stderr) <= REFUSAL_CHARS + 1, proc.stderr[:200]
         if argv[0] != "sweep":  # sweep prints its counts before it exits 3
             assert proc.stdout == "", proc.stdout[:200]
     assert wall < WALL_LIMIT_S, f"{wall:.1f} s"
@@ -118,3 +134,15 @@ def test_one_group_sweep_keeps_the_contract(tmp_path):
     counts = json.loads(proc.stdout)["counts"]
     assert counts == {"ok": 1, "fail": 0, "cap": 3, "skip": 0}
     assert proc.stderr == "3 of 4 jobs stopped at a size cap; each job file records its cap\n"
+
+
+def test_sweep_over_a_huge_m_keeps_the_contract(tmp_path):
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(HUGE_M_MANIFEST | {"output_dir": str(out)}))
+    proc = _check(["sweep", "--manifest", str(manifest)], 3)
+    jobs = json.loads(proc.stdout)["jobs"]
+    assert len(jobs) == 8
+    assert {job["status"] for job in jobs if job["m"] == 1} == {"ok"}
+    assert {job["status"] for job in jobs if job["m"] != 1} == {"cap"}
+    assert all((out / job["file"]).exists() for job in jobs)

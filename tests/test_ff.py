@@ -29,6 +29,7 @@ from frobpow.ff import (
     _tables,
     binom_mod_p,
     block_ranks,
+    check_cap,
     code_arithmetic,
     embed,
     factor_prime_power,
@@ -1040,6 +1041,15 @@ def test_encode_decode_roundtrip():
 def test_table_cap():
     with pytest.raises(CapExceeded):
         _tables(make_field(2, 13))
+
+
+def test_cap_messages_print_huge_counts_as_powers_of_two():
+    with pytest.raises(CapExceeded, match=r"^s needs 99999999999999999999 u, above the cap of 1$"):
+        check_cap(10 ** 20 - 1, 1, "s", "u")
+    with pytest.raises(CapExceeded, match=r"^s needs about 2\^66 u, above the cap of about 2\^66$"):
+        check_cap(10 ** 20 + 1, 10 ** 20, "s", "u")
+    with pytest.raises(CapExceeded, match=r"^s needs about 2\^40000 u, above the cap of 1$"):
+        check_cap(2 ** 40000, 1, "s", "u")  # past Python's 4300-digit str limit
 
 
 def _reference_tables(field):

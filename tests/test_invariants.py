@@ -607,10 +607,10 @@ class TestIntegerCodeAssembly:
 
         monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
         invariants._brute_dims.cache_clear()
-        # passes the default monomial cap (27^4 = 531441); its 6965595
+        # passes the default monomial cap (27^4 = 531441); its 3626046
         # transvection terms are counted and charged before any is built
-        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 256 * 2 ** 20)
-        with pytest.raises(CapExceeded, match="eliminating a matrix of 6965595 entries"):
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 128 * 2 ** 20)
+        with pytest.raises(CapExceeded, match="eliminating a matrix of 3626046 entries"):
             brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3)
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", 100)
         with pytest.raises(CapExceeded, match="above the budget of 0 MiB"):
@@ -622,6 +622,8 @@ class TestIntegerCodeAssembly:
         (GroupSpec(p=3, n=3, ell=2, e=2), 2),
         (GroupSpec(p=3, n=2, ell=1, e=2), 4),  # one transvection
         (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 2),
+        (GroupSpec(p=2, n=4, ell=1, e=1), 4),
+        (GroupSpec(p=7, n=2, ell=1, e=6), 3),
     ], ids=str)
     def test_fixed_space_peak_within_the_charge(self, monkeypatch, spec, m):
         # building the entries and eliminating them stay within the most
@@ -644,6 +646,32 @@ class TestIntegerCodeAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= max(charged)
+
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=2, n=2, ell=1, e=1), 4),
+        (GroupSpec(p=2, n=4, ell=3, e=1), 2),
+        (GroupSpec(p=3, n=2, ell=1, e=2), 3),
+        (GroupSpec(p=3, n=3, ell=2, e=1), 2),
+        (GroupSpec(p=5, n=2, ell=1, e=4), 2),
+        (GroupSpec(p=5, n=3, ell=2, e=2), 2),
+        (GroupSpec(p=7, n=2, ell=1, e=3), 2),
+        (GroupSpec(p=7, n=3, ell=2, e=6), 2),
+        (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 2),
+        (GroupSpec(p=2, r=3, n=2, full_stabilizer=True), 2),
+    ], ids=str)
+    def test_fixed_space_fills_its_charge(self, monkeypatch, spec, m):
+        # the charge is the exact count of the entries built, not a bound
+        filled = []
+        eliminate = ff.CodeEntries._eliminate
+
+        def record(self):
+            filled.append((self.size, len(self.keys)))
+            return eliminate(self)
+
+        monkeypatch.setattr(ff.CodeEntries, "_eliminate", record)
+        invariants._fixed_space(build_group(spec), spec.field, spec.n, spec.q ** m)
+        (size, capacity), = filled
+        assert 0 < size == capacity
 
     def test_monomial_budget_fires_before_the_discrete_logs(self, monkeypatch):
         # the 46336 logs of GF(46337) are element products; the budget needs none

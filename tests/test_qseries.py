@@ -476,3 +476,10 @@ class TestSeriesBudget:
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", qseries._COEFF_BYTES * 2000)
         with pytest.raises(CapExceeded, match="a series of 4801 coefficients needs"):
             self.BUILDERS[name](7, 2, 4)  # 2(7^4 - 1) + 1 coefficients
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_a_huge_series_is_refused_in_one_short_line(self, name):
+        # 2(2^20000 - 1) + 1 coefficients, a count past Python's 4300-digit str limit
+        with pytest.raises(CapExceeded, match=r"^a series of about 2\^20001 coefficients "
+                                              r"needs about 2\^19989 MiB, above the budget"):
+            self.BUILDERS[name](2, 2, 20000)
