@@ -5,13 +5,14 @@ closed series.  Where brute force over the full general linear group is
 feasible (q <= 3, n <= 2, m <= 2) it also computes the fixed-space
 dimensions exactly and compares coefficientwise.  Exit code 10 flags a
 mismatch in the checkable range; rows outside it are printed as
-unverified, not failed.
+unverified, not failed.  Invalid input exits 2 and a size cap 3, each with
+one line on stderr, as the frobpow CLI does.
 """
 
 import argparse
 import sys
 
-from frobpow.cli import check_conjecture
+from frobpow.cli import check_conjecture, exit_code
 from frobpow.ff import factor_prime_power
 
 
@@ -55,4 +56,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -3,12 +3,14 @@
 One row per (p, m, e, branch): the free-module shifts, the degree bound
 the series were compared to, and whether every syzygy annihilated the
 generators and the alternating series sum matched the ideal.  Exit code 1
-if any case fails.
+if any case fails; invalid input exits 2 and a size cap 3, each with one
+line on stderr, as the frobpow CLI does.
 """
 
 import argparse
 import sys
 
+from frobpow.cli import exit_code
 from frobpow.groebner import resolution_2d
 
 
@@ -31,7 +33,7 @@ def main(argv=None):
     for p in args.p:
         for m in args.m:
             for e in args.e if args.e else divisors(p - 1):
-                if (p - 1) % e:
+                if e and (p - 1) % e:  # resolution_2d refuses e = 0 itself
                     continue
                 for ell in (1, 0):
                     rep = resolution_2d(p, m, e, ell=ell)
@@ -49,4 +51,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -286,16 +286,16 @@ def cmd_conjecture(args):
     series, dims, match = check_conjecture(
         args.q, args.n, args.m, args.max_monomials, args.truncate)
     checked = dims is not None
-    data = {"q": args.q, "n": args.n, "m": args.m, "series": series.to_json(args.truncate),
+    view = series.to_json(args.truncate)
+    data = {"q": args.q, "n": args.n, "m": args.m, "series": view,
             "total": series.total, "checked": checked, "brute_dims": dims, "match": match}
 
     def rows():
         if not checked:
-            return ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(series.coeffs)]
+            return ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])]
+        top = max(len(dims) - 1, series.truncation) if args.truncate is None else args.truncate
         return ["degree,conjecture,brute"] + [
-            f"{d},{series[d]},{dims[d] if d < len(dims) else 0}"
-            for d in range(max(len(dims), series.truncation + 1))
-        ]
+            f"{d},{series[d]},{dims[d] if d < len(dims) else 0}" for d in range(top + 1)]
 
     _emit(args.format, data, rows, lambda: [series.closed_form, str(series)] + (
         [f"brute dims: {dims}", f"match: {match}"] if checked
@@ -587,10 +587,12 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    args = build_parser().parse_args(argv)
+def exit_code(func, *args):
+    """func(*args), whose return is the exit code, or the exit code of the error
+    it raised, named in one line on stderr: 3 for a cap or exhausted memory, 2
+    for invalid input."""
     try:
-        return args.func(args)
+        return func(*args)
     except CapExceeded as exc:
         print(exc, file=sys.stderr)
         return 3
@@ -611,6 +613,11 @@ def main(argv=None):
         print("a sweep worker died before its group finished; the files of "
               "finished groups are written", file=sys.stderr)
         return 3
+
+
+def main(argv=None):
+    args = build_parser().parse_args(argv)
+    return exit_code(args.func, args)
 
 
 if __name__ == "__main__":

@@ -30,10 +30,12 @@ row takes its leading entry, the shortest row leading a column without a
 pivot becomes that column's pivot, and all other rows are reduced by their
 columns' pivots in one merge of sorted keys.  A matrix takes as many rounds
 as its longest chain of pivot dependencies, far fewer than its pivots.
-:func:`block_ranks` ranks independent column blocks in one elimination;
-:func:`rank_codes` and :func:`nullspace_codes` wrap the same kernel for
-dense arrays, the latter with a back-reduction to the canonical nullspace,
-again in rounds.  Every elimination charges what it holds against
+:meth:`CodeEntries.pivot_columns` lists the pivot columns: where no row
+reaches out of a set of columns, the pivots among them count its rank, so
+one elimination ranks many independent blocks, however their columns
+interleave.  :func:`rank_codes` and :func:`nullspace_codes` wrap the same
+kernel for dense arrays, the latter with a back-reduction to the canonical
+nullspace, again in rounds.  Every elimination charges what it holds against
 MATRIX_BYTE_CAP before it allocates it.  The kernel only ranks and takes
 nullspaces: the n x n matrices of group elements take their determinant
 and inverse from :class:`MatrixFq`'s own small Gauss-Jordan elimination
@@ -789,7 +791,7 @@ class CodeEntries:
     checks that the shape fits 63 bits and charges ``capacity`` entries
     against MATRIX_BYTE_CAP before it allocates; :meth:`add` appends
     entries, whose codes must be canonical and nonzero, until they fill the
-    capacity exactly.  An elimination (:meth:`block_ranks`,
+    capacity exactly.  An elimination (:meth:`pivot_columns`,
     :meth:`nullspace`) consumes them.
     Positions and columns are held as ``index``: int32 while the budget
     admits fewer than 2^31 entries, as it does by default.
@@ -936,14 +938,9 @@ class CodeEntries:
                          store, first[lead] + 1, length[lead] - 1, stored)
         return store, first, length
 
-    def block_ranks(self, col_bounds):
-        """Ranks of the column blocks col_bounds[i] .. col_bounds[i + 1] - 1.
-
-        The blocks must be independent: no row has entries in two of them.
-        """
-        _, first, _ = self._eliminate()
-        block = np.searchsorted(col_bounds, np.flatnonzero(first >= 0), side="right") - 1
-        return np.bincount(block, minlength=len(col_bounds) - 1).tolist()
+    def pivot_columns(self):
+        """The pivot columns of the echelon form, ascending: as many as the rank."""
+        return np.flatnonzero(self._eliminate()[1] >= 0)
 
     def _back_reduce(self):
         """The pivot rows, back-reduced to the reduced echelon form: (keys, pivot columns).
@@ -996,19 +993,6 @@ class CodeEntries:
         return basis
 
 
-def block_ranks(rows, cols, codes, col_bounds, field):
-    """Ranks of independent column blocks of one matrix given by its entries.
-
-    (rows, cols, codes) lists the entries, codes canonical and nonzero; block i
-    is the columns col_bounds[i] .. col_bounds[i + 1] - 1, and no row may
-    reach into two blocks.  The arguments are left as they are.
-    """
-    entries = CodeEntries(len(rows), int(np.max(rows, initial=0)) + 1, int(col_bounds[-1]),
-                          field)
-    entries.add(rows, cols, codes)
-    return entries.block_ranks(col_bounds)
-
-
 def nullspace_codes(a, field):
     """Right-nullspace basis of an integer-code matrix, canonical parameterization.
 
@@ -1025,7 +1009,7 @@ def rank_codes(a, field):
     a = np.asarray(a)
     if a.ndim != 2 or 0 in a.shape:
         return 0
-    return CodeEntries.from_dense(a, field).block_ranks([0, a.shape[1]])[0]
+    return len(CodeEntries.from_dense(a, field).pivot_columns())
 
 
 def nullspace(m):

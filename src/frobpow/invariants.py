@@ -2,11 +2,13 @@
 by a Frobenius power, computed as exact linear algebra.
 
 The quotient by (x_1^Q, ..., x_n^Q) with Q = q^m has the monomial basis
-{x^a : a_i < Q}, graded by total degree and listed once, by degree, in a
-monomial table.  A group element preserves degree, so each degree is a
-block of consecutive columns, and every degree is built and eliminated at
-once.  Fixed spaces are computed from generators only, on integer field
-codes in numpy arrays, with no field element objects per monomial:
+{x^a : a_i < Q}, graded by total degree and listed once, in a monomial
+table whose row c is the monomial with code c.  A column is a monomial's
+code, and its degree is read off its exponents.  A group element preserves
+degree, so no row of a (g - 1) stack reaches two degrees, and every degree
+is built and eliminated at once.  Fixed spaces are computed from
+generators only, on integer field codes in numpy arrays, with no field
+element objects per monomial:
 
 * a diagonal generator diag(d_1, ..., d_n) scales x^a, so it cuts the basis
   to the monomials with sum a_i log d_i = 0 mod q - 1;
@@ -23,13 +25,15 @@ lies in the prime subfield, so a residue mod p is its own code.  A is
 spanned by the f-monomials' expansions, listed from a numpy grid of
 f-exponents and expanded one binomial f_i at a time into terms (vector,
 exponents, code), each binomial's terms a Lucas window of the same table;
-B by single monomials, a mask over the table.  Each degree's A, B and
-stacked A + B rows are three column blocks of one elimination.
+B by single monomials, a mask over the table.  A, B and the stacked A + B
+rows are three column ranges of one elimination, each indexed by code,
+and each pivot is counted in its range and its column's degree.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
-enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them, of every
-step of the A expansion and of every elimination, whose terms and entries
-are counted exactly and charged before any is built.
+enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them, of each
+scan of the list (the diagonal weights, the B mask, the columns' windows),
+of every step of the A expansion and of every elimination, whose terms and
+entries are counted exactly and charged before any is built.
 """
 
 from __future__ import annotations
@@ -214,48 +218,14 @@ class HilbertFunction:
 
 @functools.lru_cache(maxsize=None)
 def _monomial_table(n, Q):
-    """The quotient's monomials as one read-only table (exps, starts).
-
-    exps lists every exponent row by degree and, within a degree, in
-    itertools.product order, the ascending order of their codes (see
-    _codes); the rows of degree d are starts[d] .. starts[d + 1] - 1.
-    """
+    """The quotient's monomials as one read-only table: row c is the monomial
+    with code c (see _codes), so the rows run in itertools.product order."""
     size, dtype = Q ** n, np.dtype(np.int16 if Q <= 2 ** 15 else np.int32)
-    top = n * (Q - 1)
-    # the grid and its sorted copy, an int64 degree and sort order each, and
-    # the int64 degree counts, their sums and the starts; the degrees are
-    # freed before the sorted copy is made
-    check_budget(size * (2 * n * dtype.itemsize + 16) + 24 * (top + 2),
-                 f"listing the {size} monomials")
-    grid = np.indices((Q,) * n, dtype=dtype).reshape(n, -1)
-    degrees = grid.sum(axis=0)
-    order = np.argsort(degrees, kind="stable")
-    starts = np.r_[0, np.cumsum(np.bincount(degrees, minlength=top + 1))]
-    del degrees
-    exps = grid.T[order]
-    exps.flags.writeable = starts.flags.writeable = False
-    return exps, starts
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_positions(n, Q):
-    """pos[code] is the row of the monomial with that code in _monomial_table(n, Q).
-
-    Read-only.  Only the A/B decomposition looks monomials up by code, so
-    the fixed spaces do not pay for it.
-    """
-    exps = _monomial_table(n, Q)[0]
-    size = len(exps)
-    dtype = np.dtype(np.int32 if size <= 2 ** 31 else np.int64)
-    # _codes holds an int64 copy of the exponents beside the codes, 8(n + 1)
-    # bytes a monomial and more than the codes, positions and values after
-    # it; one int64 a monomial more covers the weights and array headers
-    check_budget(8 * (n + 2) * size, f"indexing the {size} monomials")
-    codes = _codes(exps, Q)
-    pos = np.empty(size, dtype=dtype)
-    pos[codes] = np.arange(size, dtype=dtype)
-    pos.flags.writeable = False
-    return pos
+    # the grid, and while it is filled an arange of Q and the array headers
+    check_budget(dtype.itemsize * n * (size + Q) + 2048, f"listing the {size} monomials")
+    exps = np.indices((Q,) * n, dtype=dtype).reshape(n, -1).T
+    exps.flags.writeable = False
+    return exps
 
 
 def _codes(exps, Q):
@@ -348,14 +318,19 @@ def _fixed_by_diagonals(exps, logs, order):
     diag(d_1, ..., d_n) scales x^a by prod d_i^(-a_i), which is one exactly
     when sum a_i log d_i = 0 mod order, the order of the multiplicative group.
     """
-    keep = np.ones(len(exps), dtype=bool)
+    size, n = exps.shape
+    # exps @ log casts the exponents to int64 beside the weights and the
+    # masks, plus the array headers
+    check_budget(size * (8 * n + 9 if logs else 1) + 2048, f"weighing the {size} monomials")
+    keep = np.ones(size, dtype=bool)
     for log in logs:
         keep &= exps @ log % order == 0
     return keep
 
 
-def _transvection_terms(cols, move, field, Q):
-    """Nonzero entries (rows, cols, codes) of g - 1 on the columns with exponents cols.
+def _transvection_terms(cols, codes, move, field, Q):
+    """Nonzero entries (rows, columns, value codes) of g - 1 on the columns
+    whose monomials have the exponent rows cols and the codes codes.
 
     g^{-1} substitutes x_k -> x_k + c x_l, so x^a goes to the sum over j of
     C(a_k, j) c^j x^(a - j e_k + j e_l).  The j = 0 term cancels against the
@@ -366,12 +341,12 @@ def _transvection_terms(cols, move, field, Q):
     """
     k, l, powers = move
     col, j, binomials = _lucas_terms(field.p, Q, *_transvection_window(cols, move, field.p, Q))
-    codes = code_arithmetic(field).mul(binomials, powers[j])
+    values = code_arithmetic(field).mul(binomials, powers[j])
     del binomials
     n = cols.shape[1]
     j *= Q ** (n - 1 - l) - Q ** (n - 1 - k)
-    j += _codes(cols, Q)[col]
-    return j, col, codes
+    j += codes[col]
+    return j, col, values
 
 
 def _transvection_window(cols, move, p, Q):
@@ -383,30 +358,38 @@ def _transvection_window(cols, move, p, Q):
 def _fixed_space(gens, field, n, Q, want_basis=False):
     """Per-degree fixed-space dims (and optionally basis vectors) in S/m^[Q].
 
-    The columns are the monomials every diagonal generator fixes, in table
-    order, so each degree is a block of consecutive columns.  The rows are
-    the (g - 1) stacks of all transvections, move i's rows i Q^n plus the
-    codes of its terms' monomials.  Every move's terms, the sizes of its
-    Lucas windows, are counted and charged exactly before any entry is
-    built; each move's window is found again to build its entries, which
-    are packed, and its arrays freed, before the next.  One elimination
-    gives every degree's rank, or one nullspace every degree's basis: a
-    kernel vector lies in the degree of its free column.
+    The columns are the codes of the monomials every diagonal generator
+    fixes, ascending.  The rows are the (g - 1) stacks of all
+    transvections, move i's rows i Q^n plus the codes of its terms'
+    monomials.  Every move's terms, the sizes of its Lucas windows, are
+    counted and charged exactly before any entry is built; each move's
+    window is found again to build its entries, which are packed, and its
+    arrays freed, before the next.  A transvection preserves degree, so one
+    elimination gives every degree's rank, its pivots counted by their
+    columns' degrees, or one nullspace every degree's basis: a kernel
+    vector lies in the degree of its free column.
     """
-    exps, starts = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
+    exps = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
-    cols = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
-    bounds, cols = np.searchsorted(cols, starts), exps[cols]  # now their exponents
+    codes = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
+    # the codes, the exponents and a move's windows: int64 keys, bounds and counts
+    check_budget(len(codes) * (exps.itemsize * n + 48), f"windowing the {len(codes)} columns")
+    cols = exps[codes]
     terms = sum(int(_transvection_window(cols, move, field.p, Q)[1].sum()) for move in moves)
     entries = CodeEntries(terms, len(moves) * len(exps), len(cols), field)
     for i, move in enumerate(moves):
-        rows, cidx, codes = _transvection_terms(cols, move, field, Q)
-        entries.add(rows + i * len(exps), cidx, codes)
-        del rows, cidx, codes
+        rows, cidx, values = _transvection_terms(cols, codes, move, field, Q)
+        entries.add(rows + i * len(exps), cidx, values)
+        del rows, cidx, values
+    del codes
+    top = n * (Q - 1)
     if not want_basis:
-        return (np.diff(bounds) - entries.block_ranks(bounds)).tolist(), None
+        pivots = entries.pivot_columns()
+        degrees = cols.sum(axis=1)
+        return (np.bincount(degrees, minlength=top + 1)
+                - np.bincount(degrees[pivots], minlength=top + 1)).tolist(), None
     monos = [tuple(a) for a in cols.tolist()]
-    basis = [[] for _ in bounds[1:]]
+    basis = [[] for _ in range(top + 1)]
     for krow in entries.nullspace():
         nz = np.flatnonzero(krow)
         basis[sum(monos[nz[0]])].append({monos[c]: field.decode(int(krow[c])) for c in nz})
@@ -496,44 +479,44 @@ def _b_mask(exps, spec, Q):
     the monomials x^c x_n^(Q-1) with sum over i < ell of (c_i mod q) >= 2,
     each once.
     """
+    # the masks, the residues of the first ell exponents and their int64 sums
+    check_budget(len(exps) * (exps.itemsize * spec.ell + 10), f"masking the {len(exps)} monomials")
     return (exps[:, -1] == Q - 1) & ((exps[:, :spec.ell] % spec.q).sum(axis=1) >= 2)
 
 
 def _ab_ranks(spec, m, cap):
     """Per-degree (rank A, rank B, rank of A stacked on B).
 
-    Every degree's A, B and stacked rows are column blocks of one
-    elimination: the monomial at table row i of degree d, whose rows are
-    lo .. hi - 1, is column i + 2 lo of the A block, i + lo + hi of the B
-    block and i + 2 hi of the stacked block.  The A rows are the
-    f-monomials' expansions, numbered in grid order; the B rows, one masked
-    monomial each in table order, follow them, and both come again for the
-    stacked blocks.  The entries, each term twice, are charged before any is
-    built, and the expansion is freed before the elimination.
+    A, B and the stacked rows are three column ranges of one elimination:
+    the monomial with code c is column c of A, Q^n + c of B and 2Q^n + c of
+    the stack.  The A rows are the f-monomials' expansions, numbered in
+    grid order; the B rows, one masked monomial each in code order, follow
+    them, and both come again for the stack.  No row reaches two ranges or
+    two degrees, so each range's rank in degree d counts the pivots in its
+    columns of degree d.  The entries, each term twice, are charged before
+    any is built, and the expansion is freed before the elimination.
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     n, Q = spec.n, spec.q ** m
     check_cap(Q ** n, cap, "quotient", "monomials")
-    exps, starts = _monomial_table(n, Q)
-    pos = _monomial_positions(n, Q)
+    exps = _monomial_table(n, Q)
     b_col = np.flatnonzero(_b_mask(exps, spec, Q))
     vector, a_exps, codes = _a_terms(spec, Q)
     a_rows, b_rows = int(vector.max(initial=-1)) + 1, len(b_col)
-    entries = CodeEntries(2 * (len(codes) + b_rows), 2 * (a_rows + b_rows), 3 * Q ** n,
+    entries = CodeEntries(2 * (len(codes) + b_rows), 2 * (a_rows + b_rows), 3 * len(exps),
                           spec.field)
-    a_col = pos[_codes(a_exps, Q)]
+    a_col = _codes(a_exps, Q)
     del a_exps
     for rows, col, vals, b_side in ((vector, a_col, codes, 0),
                                     (np.arange(a_rows, a_rows + b_rows), b_col, 1, 1)):
-        degree = np.searchsorted(starts, col, side="right") - 1
-        lo, hi = starts[degree], starts[degree + 1]
-        entries.add(rows, col + (2 - b_side) * lo + b_side * hi, vals)
-        entries.add(rows + a_rows + b_rows, col + 2 * hi, vals)
-    del vector, codes, a_col, rows, col, vals, degree, lo, hi
-    widths = np.repeat(np.diff(starts), 3)
-    ranks = entries.block_ranks(np.cumsum(np.r_[0, widths]))
-    return [tuple(ranks[i:i + 3]) for i in range(0, len(ranks), 3)]
+        entries.add(rows, col + b_side * len(exps), vals)
+        entries.add(rows + a_rows + b_rows, col + 2 * len(exps), vals)
+    del vector, codes, a_col, b_col, rows, col, vals
+    side, code = np.divmod(entries.pivot_columns(), len(exps))
+    top = n * (Q - 1)
+    ranks = np.bincount(side * (top + 1) + exps[code].sum(axis=1), minlength=3 * (top + 1))
+    return [tuple(r) for r in ranks.reshape(3, top + 1).T.tolist()]
 
 
 def a_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):

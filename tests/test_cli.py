@@ -585,6 +585,21 @@ class TestConjecture:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "degree,conjecture,brute"
 
+    @pytest.mark.parametrize("q,m,truncate", [(4, 1, 3), (4, 1, 9), (2, 2, 3), (2, 2, 9)])
+    def test_csv_rows_follow_the_truncation(self, capsys, q, m, truncate):
+        # degrees 0..truncate, padded with zeros past the series like the JSON
+        argv = ["conjecture", "--q", str(q), "--n", "2", "--m", str(m),
+                "--truncate", str(truncate)]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(truncate + 1))
+        assert [int(row[1]) for row in rows] == data["series"]["coeffs"]
+        if data["checked"]:
+            dims = data["brute_dims"] + [0] * truncate
+            assert [int(row[2]) for row in rows] == dims[:truncate + 1]
+
     def test_bad_prime_power_exits_2(self, capsys):
         code = main(["conjecture", "--q", "6", "--n", "1", "--m", "1"])
         assert code == 2

@@ -28,7 +28,6 @@ from frobpow.ff import (
     MatrixFq,
     _tables,
     binom_mod_p,
-    block_ranks,
     check_cap,
     code_arithmetic,
     embed,
@@ -720,30 +719,36 @@ def _mixed_blocks(field, rng):
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
-def test_block_ranks_match_per_block_references(field):
+def test_pivot_columns_count_interleaved_blocks(field):
+    # independent blocks whose columns interleave, each block's in order: the
+    # pivots are every block's own pivot columns, so counting them per block
+    # gives its rank
     rng = np.random.default_rng(field.order % 991)
     dtype = code_arithmetic(field).dtype
     blocks = _mixed_blocks(field, rng)
-    rows, cols, codes = [], [], []
-    row0 = col0 = 0
-    bounds = [0]
-    for a in blocks:
+    label = rng.permutation(np.repeat(np.arange(len(blocks)), [a.shape[1] for a in blocks]))
+    rows, cols, codes, expected = [], [], [], []
+    row0 = 0
+    for b, a in enumerate(blocks):
+        place = np.flatnonzero(label == b)  # the block's columns, ascending
         r, c = np.nonzero(a)
         rows.append(r + row0)
-        cols.append(c + col0)
+        cols.append(place[c])
         codes.append(a[r, c])
-        row0, col0 = row0 + a.shape[0], col0 + a.shape[1]
-        bounds.append(col0)
+        row0 += a.shape[0]
+        expected += place[_dense_echelon(a, field)[1]].tolist() if a.size else []
     shuffle = rng.permutation(sum(map(len, rows)))  # entries in no particular order
     rows = np.concatenate(rows)[shuffle].astype(np.int32)
     cols = np.concatenate(cols)[shuffle].astype(np.int32)
     codes = np.concatenate(codes)[shuffle].astype(dtype)
-    bounds = np.array(bounds)
-    args = [rows, cols, codes, bounds]
+    args = [rows, cols, codes]
     before = [x.copy() for x in args]
-    ranks = block_ranks(rows, cols, codes, bounds, field)
-    assert ranks == [len(_dense_echelon(a, field)[1]) if a.size else 0 for a in blocks]
-    assert ranks == [rank_codes(a, field) for a in blocks]
+    entries = CodeEntries(len(rows), row0, len(label), field)
+    entries.add(rows, cols, codes)
+    pivots = entries.pivot_columns()
+    assert pivots.tolist() == sorted(expected)
+    assert np.bincount(label[pivots], minlength=len(blocks)).tolist() == \
+        [rank_codes(a, field) for a in blocks]
     for x, y in zip(args, before):
         assert np.array_equal(x, y)
 
@@ -758,8 +763,7 @@ def test_kernel_degenerate_shapes():
             rows, pivots = _rref_from_nullspace(np.array([[code]]), field)
             assert rows.tolist() == ([[1]] if code else []) and pivots == ([0] if code else [])
             assert rank_codes([[code]], field) == (1 if code else 0)
-        assert block_ranks(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32),
-                           np.zeros(0, dtype=np.int64), [0, 0, 3], field) == [0, 0]
+        assert CodeEntries(0, 1, 3, field).pivot_columns().tolist() == []
 
 
 def test_entry_keys_must_fit_63_bits():

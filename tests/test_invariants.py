@@ -18,8 +18,7 @@ from frobpow.invariants import (
     a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
     verify_decomposition, _a_terms, _b_mask, _binomial_pairs, _codes,
-    _fixed_by_diagonals, _monomial_positions, _monomial_table, _split_generators,
-    _transvection_terms)
+    _fixed_by_diagonals, _monomial_table, _split_generators, _transvection_terms)
 from frobpow.poly import PolyRing, monomial_images, poly_str, reduce_mod_frobenius
 
 ARCHETYPE = GroupSpec(p=5, n=3, ell=2, e=4)
@@ -316,7 +315,7 @@ class TestDecomposition:
         # every degree has three column blocks
         spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
         _, _, codes = _a_terms(spec, 9)
-        b_terms = int(_b_mask(_monomial_table(2, 9)[0], spec, 9).sum())
+        b_terms = int(_b_mask(_monomial_table(2, 9), spec, 9).sum())
         nnz = 2 * (len(codes) + b_terms)
         monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
         monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 3 * 81) * ff._ENTRY_BYTES - 1)
@@ -342,7 +341,7 @@ class TestDecomposition:
                                                 for w, a in zip(weights, pad))):
                     expected.append(tuple(w * b + a for w, b, a in zip(weights, bvec, pad))
                                     + (Q - 1,))
-            exps = _monomial_table(n, Q)[0]
+            exps = _monomial_table(n, Q)
             got = [tuple(mono) for mono in exps[_b_mask(exps, spec, Q)].tolist()]
             assert got and sorted(got) == sorted(expected)
             if not members:
@@ -456,23 +455,16 @@ class TestRewriting:
                 factor_prime_power(bad)
 
     def test_monomial_table_partition(self):
-        exps, starts = _monomial_table(2, 3)
-        assert starts.tolist() == [0, 1, 3, 6, 8, 9]
+        exps = _monomial_table(2, 3)
         assert exps[:1].tolist() == [[0, 0]]
-        assert exps[3:6].tolist() == [[0, 2], [1, 1], [2, 0]]
-        # by degree, and each degree in itertools.product order
+        assert exps[3:6].tolist() == [[1, 0], [1, 1], [1, 2]]
+        # row c is the monomial with code c, so the rows run in itertools.product order
         for n, Q in ((2, 3), (3, 4), (4, 2)):
-            exps, starts = _monomial_table(n, Q)
-            pos = _monomial_positions(n, Q)
+            exps = _monomial_table(n, Q)
             product = list(itertools.product(range(Q), repeat=n))
-            assert [tuple(a) for a in exps.tolist()] == sorted(product, key=sum)
-            assert all(sum(a) == d for d in range(len(starts) - 1)
-                       for a in exps[starts[d]:starts[d + 1]].tolist())
-            assert starts[-1] == len(exps) == Q ** n
-            # pos inverts the codes, which number itertools.product order
-            assert pos[_codes(exps, Q)].tolist() == list(range(Q ** n))
-            assert [tuple(a) for a in exps[pos].tolist()] == product
-            assert not (exps.flags.writeable or starts.flags.writeable or pos.flags.writeable)
+            assert [tuple(a) for a in exps.tolist()] == product
+            assert _codes(exps, Q).tolist() == list(range(Q ** n))
+            assert not exps.flags.writeable
 
 
 # (generators, field, n, Q): every field named by the integer-code engine,
@@ -509,8 +501,11 @@ class TestIntegerCodeAssembly:
             if logs:
                 continue
             image = monomial_images(g.inverse(), ring)
-            # every monomial is a column; a row is its itertools.product rank
-            exps = _monomial_table(n, Q)[0]
+            # the columns are the monomials whose codes are not 1 mod 3, so a
+            # column's number is not its code; a row is a code, the
+            # itertools.product rank
+            codes = np.flatnonzero(np.arange(Q ** n) % 3 != 1)
+            exps = _monomial_table(n, Q)[codes]
             monos = [tuple(a) for a in exps.tolist()]
             row_of = {mono: i for i, mono in enumerate(itertools.product(range(Q), repeat=n))}
             expected = {}
@@ -520,14 +515,14 @@ class TestIntegerCodeAssembly:
                 for target, c in terms.items():
                     if c:
                         expected[row_of[target], ci] = field.encode(c)
-            rows, cols, codes = _transvection_terms(exps, moves[0], field, Q)
-            got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, codes)}
+            rows, cols, values = _transvection_terms(exps, codes, moves[0], field, Q)
+            got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, values)}
             assert len(got) == len(rows)
             assert got == expected
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
     def test_ranks_match_the_nullspace_basis(self, case):
-        # the dims path (block_ranks) and the basis path (nullspace) eliminate
+        # the dims path (pivot_columns) and the basis path (nullspace) eliminate
         # the same entries; every kernel vector lies in one degree and is
         # fixed by every generator under polynomial substitution
         gens, field, n, Q = case
@@ -549,6 +544,35 @@ class TestIntegerCodeAssembly:
                         moved = moved + image(mono) * c
                     assert reduce_mod_frobenius(moved, Q) == poly
 
+    @pytest.mark.parametrize("gens,field,n,Q", [
+        (build_group(GroupSpec(p=3, n=2, ell=1, e=2)), make_field(3), 2, 9),
+        (build_group(GroupSpec(p=2, r=2, n=3, full_stabilizer=True)), make_field(2, 2), 3, 4),
+        (full_gl_generators(make_field(3), 2), make_field(3), 2, 3),
+    ], ids=["p3-family", "GF4-stabilizer", "GL2-F3"])
+    def test_bases_are_each_degrees_canonical_nullspace(self, gens, field, n, Q):
+        # one elimination over all degrees, columns in code order, gives each
+        # degree the canonical nullspace of that degree's own (g - 1) stack,
+        # its columns the monomials of the degree in itertools.product order,
+        # each column's image under every generator minus itself, diagonals
+        # included
+        basis = invariants._fixed_space(gens, field, n, Q, want_basis=True)[1]
+        ring = PolyRing(field, n)
+        images = [monomial_images(g.inverse(), ring) for g in gens]
+        product = list(itertools.product(range(Q), repeat=n))
+        for d, vectors in enumerate(basis):
+            monos = [a for a in product if sum(a) == d]
+            index = {mono: i for i, mono in enumerate(monos)}
+            rows = []
+            for image in images:
+                block = [[field.zero()] * len(monos) for _ in monos]
+                for col, mono in enumerate(monos):
+                    for target, c in reduce_mod_frobenius(image(mono), Q).terms.items():
+                        block[index[target]][col] = c
+                    block[col][col] = block[col][col] - 1
+                rows += block
+            kernel = ff.nullspace(MatrixFq.from_rows(field, rows))
+            assert vectors == [{mono: c for mono, c in zip(monos, vec) if c} for vec in kernel]
+
     @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
     def test_diagonal_congruence_matches_field_product(self, case):
         gens, field, n, Q = case
@@ -557,7 +581,7 @@ class TestIntegerCodeAssembly:
             if moves:
                 continue
             inv = [g.entry(i, i).inverse() for i in range(n)]
-            exps = _monomial_table(n, Q)[0]
+            exps = _monomial_table(n, Q)
             keep = _fixed_by_diagonals(exps, logs, field.order - 1)
             for a, kept in zip(exps.tolist(), keep):
                 scalar = field.one()
@@ -684,10 +708,7 @@ class TestIntegerCodeAssembly:
             brute_force_hilbert(spec, 1, max_monomials=3 * 10 ** 9)
 
     @pytest.mark.parametrize("n,Q", [(3, 27), (4, 27), (2, 729)])
-    @pytest.mark.parametrize("build", [_monomial_table, _monomial_positions],
-                             ids=lambda f: f.__name__)
-    def test_monomial_tables_peak_within_the_charge(self, monkeypatch, build, n, Q):
-        _monomial_table(n, Q)  # the positions' charge leaves out the table
+    def test_monomial_tables_peak_within_the_charge(self, monkeypatch, n, Q):
         charged = []
         check = ff.check_budget
 
@@ -696,24 +717,14 @@ class TestIntegerCodeAssembly:
             check(nbytes, what)
 
         monkeypatch.setattr(invariants, "check_budget", record)
-        build.cache_clear()
+        _monomial_table.cache_clear()
         tracemalloc.start()
         try:
-            build(n, Q)
+            _monomial_table(n, Q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert charged and peak <= max(charged)
-
-    def test_fixed_space_builds_no_positions(self, monkeypatch):
-        # only the A/B decomposition looks monomials up by code
-        def no_positions(n, Q):
-            raise AssertionError("the fixed space built the positions")
-
-        monkeypatch.setattr(invariants, "_monomial_positions", no_positions)
-        spec = GroupSpec(p=3, n=2, ell=1, e=2)
-        assert invariants._fixed_space(build_group(spec), spec.field, 2, 9)[0] == \
-            list(brute_force_hilbert(spec, 2).dims)
 
     def test_monomial_table_is_charged_before_it_exists(self, monkeypatch):
         # 46337^2 monomials would take 16 GiB of exponents
@@ -723,3 +734,49 @@ class TestIntegerCodeAssembly:
         monkeypatch.setattr(invariants.np, "indices", no_grid)
         with pytest.raises(CapExceeded, match="listing the 2147117569 monomials needs"):
             _monomial_table(2, 46337)
+
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=3, n=4, ell=3, e=2), 3),
+        (GroupSpec(p=2, n=6, ell=5, e=1), 3),  # no diagonal generator
+        (GroupSpec(p=5, n=2, ell=1, e=4), 4),
+        (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 3),
+    ], ids=str)
+    def test_monomial_scans_peak_within_their_charges(self, monkeypatch, spec, m):
+        # the diagonal weights and the B mask scan the whole table; each
+        # stays within the charge it makes before it allocates
+        Q = spec.q ** m
+        exps = _monomial_table(spec.n, Q)
+        logs = _split_generators(build_group(spec), Q)[0]
+        check = ff.check_budget
+        for scan in (lambda: _fixed_by_diagonals(exps, logs, spec.field.order - 1),
+                     lambda: _b_mask(exps, spec, Q)):
+            charged = []
+
+            def record(nbytes, what):
+                charged.append(nbytes)
+                check(nbytes, what)
+
+            monkeypatch.setattr(invariants, "check_budget", record)
+            tracemalloc.start()
+            try:
+                scan()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(charged) == 1 and peak <= charged[0]
+
+    @pytest.mark.parametrize("run,cap,message", [
+        (lambda: brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3), 20,
+         "weighing the 531441 monomials needs 20 MiB"),
+        (lambda: brute_force_hilbert(GroupSpec(p=2, n=6, ell=5, e=1), 3), 14,
+         "windowing the 262144 columns needs 15 MiB"),
+        (lambda: verify_decomposition(GroupSpec(p=3, n=4, ell=3, e=2), 3), 8,
+         "masking the 531441 monomials needs 8 MiB"),
+    ], ids=["weights", "windows", "b-mask"])
+    def test_scans_past_the_budget_are_refused(self, monkeypatch, run, cap, message):
+        # the table of exponents fits the budget, but what is built from it
+        # per monomial or per column does not, and is refused before it exists
+        invariants._brute_dims.cache_clear()
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", cap * 2 ** 20)
+        with pytest.raises(CapExceeded, match=message):
+            run()

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -76,3 +78,21 @@ def test_resolution_report_table():
     assert lines[0] == "p,m,e,branch,f0_shifts,f1_shifts,bound,ok"
     assert len(lines) == 5
     assert all(row.endswith(",True") for row in lines[1:])
+
+
+@pytest.mark.parametrize("script,args,code,message,last", [
+    ("resolution_report.py", ["--p", "4"], 2, "4 is not prime (divisible by 2)", None),
+    ("resolution_report.py", ["--p", "3", "--e", "0"], 2, "e must divide q - 1 = 2", None),
+    ("resolution_report.py", ["--p", "3", "--m", "0"], 2,
+     "Frobenius exponent m must be at least 1", None),
+    ("conjecture_scan.py", ["--max-q", "5", "--max-n", "2", "--max-m", "12"], 3,
+     "the series needs 1062881 coefficients, above the cap of 1000000",
+     "q=3 n=2 m=11 total=653845887 unverified"),
+], ids=["resolution-p4", "resolution-e0", "resolution-m0", "conjecture-cap"])
+def test_scripts_keep_the_exit_code_contract(script, args, code, message, last):
+    # one stderr line and the CLI's exit code, not a traceback; the rows
+    # before a cap are still printed
+    proc = run(script, *args)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == [message]
+    assert (proc.stdout.splitlines() or [None])[-1] == last

@@ -8,9 +8,12 @@ never changed or installed.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from frobpow import invariants
 
 SHIM = Path(__file__).resolve().parent.parent / "perfbench" / "trace_shim.py"
 
@@ -34,3 +37,13 @@ def test_the_shim_names_something():
 def test_every_traced_function_resolves(module, name):
     home = importlib.import_module(f"frobpow.{module}")
     assert callable(getattr(home, name, None)), f"frobpow.{module} has no {name}"
+
+
+def test_the_monomial_counter_reads_n_and_q():
+    # the shim counts invariants.monomials as args[3] ** args[2] of _fixed_space
+    # calls; a reordered signature would miscount without failing
+    (weight,) = [row[3] for row in SHIM_MODULE.COUNTED
+                 if row[:3] == ("invariants", "_fixed_space", "invariants.monomials")]
+    params = list(inspect.signature(invariants._fixed_space).parameters)
+    assert params[2:4] == ["n", "Q"]
+    assert weight(("gens", "field", 3, 5)) == 5 ** 3
