@@ -108,6 +108,12 @@ def _check_truncate(truncate, max_monomials):
         check_cap(truncate + 1, max_monomials, "the series", "coefficients")
 
 
+def _compared(series, dims, truncate):
+    """(d, series[d], dims[d] or 0 past them) through truncate, else either side's end."""
+    top = max(len(dims) - 1, series.truncation) if truncate is None else truncate
+    return [(d, series[d], dims[d] if d < len(dims) else 0) for d in range(top + 1)]
+
+
 def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None):
     """``hilbert --mode brute|both``: brute-force dims, or the formula-vs-brute table.
 
@@ -116,6 +122,8 @@ def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None
     bounds the table's truncation degree.
     """
     base = {"spec": spec.to_json(), "m": m, "mode": mode}
+    if mode == "brute" and truncate is not None:
+        raise ValueError("--truncate windows a series; --mode brute lists every degree")
     if mode == "both":
         _require_closed_form(spec)
         _check_truncate(truncate, max_monomials)
@@ -125,8 +133,7 @@ def run_hilbert(spec, m, mode, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None
     from .qseries import hilbert_for_spec
 
     formula = hilbert_for_spec(spec, m)
-    top = max(len(brute.dims) - 1, formula.truncation) if truncate is None else truncate
-    table = [[d, formula[d], brute[d], formula[d] == brute[d]] for d in range(top + 1)]
+    table = [[d, f, b, f == b] for d, f, b in _compared(formula, brute.dims, truncate)]
     equal = all(row[3] for row in table)
     return base | {
         "closed_form": formula.closed_form, "rows": table, "equal": equal,
@@ -264,9 +271,8 @@ def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None)
 
     The series length n(q^m - 1) + 1 and the truncate + 1 degrees compared
     are capped by max_monomials.  Brute force runs only where it is feasible
-    (q <= 3, n <= 2, m <= 2), and elsewhere dims and match are None.  match
-    compares every degree through truncate, by default through the last
-    degree of either side.
+    (q <= 3, n <= 2, m <= 2), and elsewhere dims and match are None; match
+    compares the degrees that _compared lists.
     """
     factor_prime_power(q)  # an invalid q exits 2 before any cap
     check_cap(n * (q ** m - 1) + 1, max_monomials, "the series", "coefficients")
@@ -277,8 +283,7 @@ def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None)
     if not (q <= 3 and n <= 2 and m <= 2):
         return series, None, None
     dims = [len(b) for b in full_gl_fixed_basis(q, n, m, max_monomials)]
-    top = max(len(dims) - 1, series.truncation) if truncate is None else truncate
-    match = all(series[d] == (dims[d] if d < len(dims) else 0) for d in range(top + 1))
+    match = all(s == b for _, s, b in _compared(series, dims, truncate))
     return series, dims, match
 
 
@@ -293,9 +298,8 @@ def cmd_conjecture(args):
     def rows():
         if not checked:
             return ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])]
-        top = max(len(dims) - 1, series.truncation) if args.truncate is None else args.truncate
         return ["degree,conjecture,brute"] + [
-            f"{d},{series[d]},{dims[d] if d < len(dims) else 0}" for d in range(top + 1)]
+            f"{d},{s},{b}" for d, s, b in _compared(series, dims, args.truncate)]
 
     _emit(args.format, data, rows, lambda: [series.closed_form, str(series)] + (
         [f"brute dims: {dims}", f"match: {match}"] if checked

@@ -25,9 +25,9 @@ lies in the prime subfield, so a residue mod p is its own code.  A is
 spanned by the f-monomials' expansions, listed from a numpy grid of
 f-exponents and expanded one binomial f_i at a time into terms (vector,
 exponents, code), each binomial's terms a Lucas window of the same table;
-B by single monomials, a mask over the table.  A, B and the stacked A + B
-rows are three column ranges of one elimination, each indexed by code,
-and each pivot is counted in its range and its column's degree.
+B by single monomials x^c x_n^(Q-1), counted, not eliminated: one
+elimination of A, B's columns after all others, counts each pivot in its
+range and its column's degree.
 
 Two caps bound the work.  The monomial cap bounds the Q^n exponent vectors
 enumerated; ff.MATRIX_BYTE_CAP bounds the memory of listing them, of each
@@ -318,13 +318,17 @@ def _fixed_by_diagonals(exps, logs, order):
     diag(d_1, ..., d_n) scales x^a by prod d_i^(-a_i), which is one exactly
     when sum a_i log d_i = 0 mod order, the order of the multiplicative group.
     """
-    size, n = exps.shape
-    # exps @ log casts the exponents to int64 beside the weights and the
-    # masks, plus the array headers
-    check_budget(size * (8 * n + 9 if logs else 1) + 2048, f"weighing the {size} monomials")
+    size = len(exps)
+    # the int64 weights and one column's products, the masks, the array
+    # headers and the 64 KiB buffer a ufunc casts the exponents through
+    check_budget(size * (17 if logs else 1) + 2 ** 17, f"weighing the {size} monomials")
     keep = np.ones(size, dtype=bool)
     for log in logs:
-        keep &= exps @ log % order == 0
+        weight = np.zeros(size, dtype=np.int64)
+        for i in np.flatnonzero(log):
+            weight += exps[:, i] * log[i]  # log[i] is an np.int64, so the product is too
+        weight %= order
+        keep &= weight == 0
     return keep
 
 
@@ -487,36 +491,33 @@ def _b_mask(exps, spec, Q):
 def _ab_ranks(spec, m, cap):
     """Per-degree (rank A, rank B, rank of A stacked on B).
 
-    A, B and the stacked rows are three column ranges of one elimination:
-    the monomial with code c is column c of A, Q^n + c of B and 2Q^n + c of
-    the stack.  The A rows are the f-monomials' expansions, numbered in
-    grid order; the B rows, one masked monomial each in code order, follow
-    them, and both come again for the stack.  No row reaches two ranges or
-    two degrees, so each range's rank in degree d counts the pivots in its
-    columns of degree d.  The entries, each term twice, are charged before
-    any is built, and the expansion is freed before the elimination.
+    B's rows are distinct monomials, so rank B counts them and the stack
+    has rank B plus the rank of A off B's columns.  So only A, its rows the
+    f-monomials' expansions in grid order, is eliminated: the monomial with
+    code c is column c, or Q^n + c if it lies in B.  An echelon form's
+    pivot columns depend only on the row space, so the pivots before Q^n
+    count A's rank off B, all of them rank A, each in its column's degree.
+    The entries, one a term, are charged before any is built, and the
+    expansion is freed before the elimination.
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     n, Q = spec.n, spec.q ** m
     check_cap(Q ** n, cap, "quotient", "monomials")
     exps = _monomial_table(n, Q)
-    b_col = np.flatnonzero(_b_mask(exps, spec, Q))
-    vector, a_exps, codes = _a_terms(spec, Q)
-    a_rows, b_rows = int(vector.max(initial=-1)) + 1, len(b_col)
-    entries = CodeEntries(2 * (len(codes) + b_rows), 2 * (a_rows + b_rows), 3 * len(exps),
-                          spec.field)
-    a_col = _codes(a_exps, Q)
-    del a_exps
-    for rows, col, vals, b_side in ((vector, a_col, codes, 0),
-                                    (np.arange(a_rows, a_rows + b_rows), b_col, 1, 1)):
-        entries.add(rows, col + b_side * len(exps), vals)
-        entries.add(rows + a_rows + b_rows, col + 2 * len(exps), vals)
-    del vector, codes, a_col, b_col, rows, col, vals
-    side, code = np.divmod(entries.pivot_columns(), len(exps))
     top = n * (Q - 1)
-    ranks = np.bincount(side * (top + 1) + exps[code].sum(axis=1), minlength=3 * (top + 1))
-    return [tuple(r) for r in ranks.reshape(3, top + 1).T.tolist()]
+    b_exps = exps[Q - 1::Q]  # the monomials with x_n^(Q-1)
+    b = np.bincount(b_exps[_b_mask(b_exps, spec, Q)].sum(axis=1), minlength=top + 1)
+    vector, a_exps, codes = _a_terms(spec, Q)
+    entries = CodeEntries(len(codes), int(vector.max(initial=-1)) + 1, 2 * len(exps), spec.field)
+    col = _codes(a_exps, Q)
+    col[_b_mask(a_exps, spec, Q)] += len(exps)
+    entries.add(vector, col, codes)
+    del vector, a_exps, col, codes
+    in_b, code = np.divmod(entries.pivot_columns(), len(exps))
+    ranks = np.bincount(in_b * (top + 1) + exps[code].sum(axis=1), minlength=2 * (top + 1))
+    off_b, on_b = ranks.reshape(2, top + 1)
+    return list(zip((off_b + on_b).tolist(), b.tolist(), (off_b + b).tolist()))
 
 
 def a_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
@@ -548,16 +549,14 @@ class DecompositionReport:
 
 
 def verify_decomposition(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
-    """Check per degree that A + B = fixed space, with a stacked-rank witness."""
+    """Check per degree that A + B = fixed space, directly: A keeps its rank off B."""
     ranks = _ab_ranks(spec, m, max_monomials)
     brute = brute_force_hilbert(spec, m, max_monomials)
-    rows = []
-    mismatches = []
+    rows, mismatches = [], []
     for d, (a, b, u) in enumerate(ranks):
-        br = brute[d]
-        rows.append((d, a, b, a + b, br))
-        if a + b != br:
-            mismatches.append(f"degree {d}: A + B = {a + b} but fixed space has {br}")
+        rows.append((d, a, b, a + b, brute[d]))
+        if a + b != brute[d]:
+            mismatches.append(f"degree {d}: A + B = {a + b} but fixed space has {brute[d]}")
         if u != a + b:
             mismatches.append(f"degree {d}: stacked rank {u} shows A and B overlap")
     return DecompositionReport(spec, m, tuple(rows), not mismatches, tuple(mismatches))

@@ -202,9 +202,6 @@ class Polynomial:
                                           for m, c in frob.terms.items()})
         return result
 
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero())
-
     def total_degree(self):
         """Max unweighted degree; None for the zero polynomial."""
         if not self.terms:

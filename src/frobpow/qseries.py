@@ -47,8 +47,8 @@ class TruncatedSeries:
     def to_json(self, truncate=None):
         """JSON form; a truncate degree re-windows the coefficients to 0..truncate."""
         top = self.truncation if truncate is None else truncate
-        out = {"coeffs": [self[d] for d in range(top + 1)], "truncation": top,
-               "closed_form": self.closed_form}
+        out = {"coeffs": list(self.coeffs[:top + 1]) + [0] * (top - self.truncation),
+               "truncation": top, "closed_form": self.closed_form}
         if self.conjectural:
             out["conjectural"] = True
         return out

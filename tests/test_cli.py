@@ -173,6 +173,16 @@ class TestHilbert:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    @pytest.mark.parametrize("truncate", ["0", "1000000000000"])
+    def test_brute_mode_refuses_truncate(self, capsys, fmt, truncate):
+        # brute mode lists every degree, so a window would be ignored
+        code = main(["hilbert", "--p", "3", "--n", "2", "--m", "1", "--mode", "brute",
+                     "--truncate", truncate, "--format", fmt])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "--truncate" in err
+
     def test_full_stabilizer_agreeing_flags_change_nothing(self, capsys):
         argv = ["hilbert", "--p", "5", "--n", "3", "--m", "1", "--full-stabilizer"]
         assert main(argv) == 0

@@ -73,6 +73,8 @@ CASES = [
     # huge truncation degrees
     ("hilbert-truncate-10^12", ["hilbert", "--p", "2", "--n", "2", "--m", "1",
                                 "--truncate", TRUNCATE_HUGE], 3),
+    ("hilbert-brute-truncate-10^12", ["hilbert", "--p", "3", "--n", "2", "--m", "1",
+                                      "--mode", "brute", "--truncate", TRUNCATE_HUGE], 2),
     ("hilbert-formula-truncate-10^12", ["hilbert", "--p", "2", "--n", "2", "--m", "1",
                                         "--truncate", TRUNCATE_HUGE, "--mode", "formula"], 3),
     ("conjecture-truncate-10^12", ["conjecture", "--q", "2", "--n", "2", "--m", "1",

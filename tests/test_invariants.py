@@ -311,16 +311,50 @@ class TestDecomposition:
         def no_elimination(self):
             raise AssertionError("eliminated before the entries were charged")
 
-        # every term is entered twice, alone and in the A + B stack, and
-        # every degree has three column blocks
+        # every A term is entered once, and every monomial has two columns:
+        # its own and, should it lie in B, the one past all the others
         spec, m = GroupSpec(p=3, n=2, ell=1, e=1), 2
         _, _, codes = _a_terms(spec, 9)
-        b_terms = int(_b_mask(_monomial_table(2, 9), spec, 9).sum())
-        nnz = 2 * (len(codes) + b_terms)
+        nnz = len(codes)
         monkeypatch.setattr(ff.CodeEntries, "_eliminate", no_elimination)
-        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 3 * 81) * ff._ENTRY_BYTES - 1)
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", (nnz + 2 * 81) * ff._ENTRY_BYTES - 1)
         with pytest.raises(CapExceeded, match=f"eliminating a matrix of {nnz} entries"):
             verify_decomposition(spec, m)
+
+    @pytest.mark.parametrize("spec,m", [
+        (GroupSpec(p=2, n=3, ell=0, e=1), 2),
+        (GroupSpec(p=3, n=2, ell=1, e=2), 2),
+        (GroupSpec(p=3, n=3, ell=2, e=2), 2),
+        (GroupSpec(p=5, n=3, ell=1, e=2), 1),
+        (ARCHETYPE, 1),
+        (GroupSpec(p=2, r=1, n=3, full_stabilizer=True), 2),
+        (GroupSpec(p=2, r=2, n=2, full_stabilizer=True), 2),
+        (GroupSpec(p=2, r=3, n=2, full_stabilizer=True), 2),
+        (GroupSpec(p=3, r=2, n=2, full_stabilizer=True), 1),
+    ], ids=str)
+    def test_ab_ranks_match_the_stacked_blocks(self, spec, m):
+        # reference: per degree, the dense A rows from the expansion, one
+        # unit row per B monomial and the two stacked, each ranked alone
+        Q = spec.q ** m
+        vector, exps, codes = _a_terms(spec, Q)
+        table = _monomial_table(spec.n, Q)
+        degree = table.sum(axis=1)
+        b_codes = np.flatnonzero(_b_mask(table, spec, Q))
+        a_codes = _codes(exps, Q)
+        expected = []
+        for d in range(spec.n * (Q - 1) + 1):
+            column = {c: i for i, c in enumerate(np.flatnonzero(degree == d).tolist())}
+            terms = np.flatnonzero(degree[a_codes] == d)
+            rows = {v: i for i, v in enumerate(np.unique(vector[terms]).tolist())}
+            a = np.zeros((len(rows), len(column)), dtype=np.int64)
+            for t in terms.tolist():
+                a[rows[int(vector[t])], column[int(a_codes[t])]] = codes[t]
+            b = np.eye(len(column), dtype=np.int64)[
+                [column[c] for c in b_codes[degree[b_codes] == d].tolist()]]
+            expected.append(tuple(ff.rank_codes(block, spec.field)
+                                  for block in (a, b, np.vstack((a, b)))))
+        assert invariants._ab_ranks(spec, m, 10 ** 6) == expected
+        assert any(b for _, b, _ in expected) == (spec.ell > 0)
 
     def test_b_membership_in_fixed_space(self):
         # the B mask picks the spanning elements of the complement module,
@@ -766,17 +800,20 @@ class TestIntegerCodeAssembly:
             assert len(charged) == 1 and peak <= charged[0]
 
     @pytest.mark.parametrize("run,cap,message", [
-        (lambda: brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3), 20,
-         "weighing the 531441 monomials needs 20 MiB"),
-        (lambda: brute_force_hilbert(GroupSpec(p=2, n=6, ell=5, e=1), 3), 14,
+        (lambda: brute_force_hilbert(GroupSpec(p=3, n=4, ell=3, e=2), 3), 8 * 2 ** 20,
+         "weighing the 531441 monomials needs 8 MiB"),
+        (lambda: brute_force_hilbert(GroupSpec(p=2, n=6, ell=5, e=1), 3), 14 * 2 ** 20,
          "windowing the 262144 columns needs 15 MiB"),
-        (lambda: verify_decomposition(GroupSpec(p=3, n=4, ell=3, e=2), 3), 8,
-         "masking the 531441 monomials needs 8 MiB"),
+        # B is counted on the 27^3 monomials with x_4^26, at 2 bytes for each
+        # of the three exponents reduced mod q and 10 for the sums and masks
+        (lambda: verify_decomposition(GroupSpec(p=3, n=4, ell=3, e=2), 3), 19683 * 16 - 1,
+         "masking the 19683 monomials needs 0 MiB"),
     ], ids=["weights", "windows", "b-mask"])
     def test_scans_past_the_budget_are_refused(self, monkeypatch, run, cap, message):
-        # the table of exponents fits the budget, but what is built from it
-        # per monomial or per column does not, and is refused before it exists
+        # the table of exponents is listed, but what is built from it per
+        # monomial or per column does not fit, and is refused before it exists
         invariants._brute_dims.cache_clear()
-        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", cap * 2 ** 20)
+        _monomial_table(4, 27)  # under the default budget
+        monkeypatch.setattr(ff, "MATRIX_BYTE_CAP", cap)
         with pytest.raises(CapExceeded, match=message):
             run()
