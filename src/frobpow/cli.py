@@ -78,22 +78,66 @@ def _build_spec(p, r, n, ell, e, full_stabilizer):
     )
 
 
-def _dump_json(data):
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+# Chunks or lines joined per write: few enough that no rendering is held
+# whole, enough that the writes cost little.
+_BATCH = 2 ** 10
+
+
+def _json_chunks(data):
+    """The text of json.dumps(data, sort_keys=True, indent=2) + "\n", in chunks."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+    yield "\n"
+
+
+def _line_chunks(lines):
+    """The text of "\n".join(lines) + "\n", in chunks; a line that is not a
+    string is an iterable of its pieces (a long series), streamed too."""
+    for line in lines:
+        if isinstance(line, str):
+            yield line
+        else:
+            yield from line
+        yield "\n"
+
+
+def _batches(chunks):
+    """The chunks joined _BATCH at a time."""
+    chunks = iter(chunks)
+    while batch := list(itertools.islice(chunks, _BATCH)):
+        yield "".join(batch)
+
+
+def _write(chunks):
+    """Write chunks to stdout a batch at a time.  A reader that closes the
+    pipe early gets no more: stdout then points at os.devnull, so neither
+    this write nor the flush at exit fails, and the verdict's exit code
+    stands."""
+    try:
+        for batch in _batches(chunks):
+            sys.stdout.write(batch)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(fmt, data, csv_rows, pretty_lines):
-    """Write data in one format; csv_rows and pretty_lines build their lines
-    when called, so only the requested rendering is ever built."""
+    """Write data in one format; csv_rows and pretty_lines give iterables of
+    their lines when called, so only the requested rendering is made, and
+    none is held whole."""
     if fmt == "json":
-        sys.stdout.write(_dump_json(data))
-    elif fmt == "csv":
-        sys.stdout.write("\n".join(csv_rows()) + "\n")
+        _write(_json_chunks(data))
     else:
-        sys.stdout.write("\n".join(pretty_lines()) + "\n")
+        _write(_line_chunks(csv_rows() if fmt == "csv" else pretty_lines()))
 
 
 # -- hilbert ----------------------------------------------------------------
+
+def _coeff_rows(coeffs):
+    """The CSV lines of a series window: a header, then degree and coefficient."""
+    return itertools.chain(["degree,coeff"], (f"{d},{c}" for d, c in enumerate(coeffs)))
+
 
 def _require_closed_form(spec):
     from .qseries import has_closed_form
@@ -155,26 +199,29 @@ def cmd_hilbert(args):
         view = formula.to_json(args.truncate)
         data = {"spec": spec.to_json(), "m": args.m, "mode": args.mode,
                 "series": view, "total": formula.total}
-        _emit(args.format, data,
-              lambda: ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])],
-              lambda: [formula.closed_form, str(formula), f"total {formula.total}"])
+        _emit(args.format, data, lambda: _coeff_rows(view["coeffs"]),
+              lambda: [formula.closed_form, formula.terms(), f"total {formula.total}"])
         return 0
     data, status = run_hilbert(spec, args.m, args.mode, args.max_monomials, args.truncate)
 
     def rows():
         if args.mode == "brute":
-            return ["degree,dim"] + [f"{d},{c}" for d, c in enumerate(data["dims"])]
-        return ["degree,formula,brute,equal"] + [
-            f"{d},{f},{b},{eq}" for d, f, b, eq in data["rows"]]
+            yield "degree,dim"
+            yield from (f"{d},{c}" for d, c in enumerate(data["dims"]))
+            return
+        yield "degree,formula,brute,equal"
+        yield from (f"{d},{f},{b},{eq}" for d, f, b, eq in data["rows"])
 
     def lines():
         if args.mode == "brute":
-            return [" ".join(str(c) for c in data["dims"]), f"total {data['total']}"]
-        return [data["closed_form"]] + [
-            f"{d}: formula={f} brute={b}{'' if eq else '  <- mismatch'}"
-            for d, f, b, eq in data["rows"]] + [
-            f"totals {data['formula_total']} vs {data['brute_total']}",
-            f"equal: {data['equal']}"]
+            yield " ".join(str(c) for c in data["dims"])
+            yield f"total {data['total']}"
+            return
+        yield data["closed_form"]
+        yield from (f"{d}: formula={f} brute={b}{'' if eq else '  <- mismatch'}"
+                    for d, f, b, eq in data["rows"])
+        yield f"totals {data['formula_total']} vs {data['brute_total']}"
+        yield f"equal: {data['equal']}"
 
     _emit(args.format, data, rows, lines)
     return EXIT_CODES[status]
@@ -194,10 +241,10 @@ def cmd_gbcheck(args):
     data, status = run_gbcheck(_spec_from_args(args), args.m, args.from_scratch)
     certificates = data["certificates"]
     _emit(args.format, data,
-          lambda: ["pair,remainder"] + [
-              f"\"{c['pair']}\",\"{c['remainder']}\"" for c in certificates],
-          lambda: [f"generators: {' '.join(data['names'])}"] + [
-              f"{c['pair']}: {c['remainder']}" for c in certificates] + [f"ok: {data['ok']}"])
+          lambda: itertools.chain(["pair,remainder"], (
+              f"\"{c['pair']}\",\"{c['remainder']}\"" for c in certificates)),
+          lambda: itertools.chain([f"generators: {' '.join(data['names'])}"], (
+              f"{c['pair']}: {c['remainder']}" for c in certificates), [f"ok: {data['ok']}"]))
     return EXIT_CODES[status]
 
 
@@ -212,10 +259,11 @@ def run_decompose(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 def cmd_decompose(args):
     data, status = run_decompose(_spec_from_args(args), args.m, args.max_monomials)
     _emit(args.format, data,
-          lambda: ["degree,A,B,total,brute"] + [
-              ",".join(map(str, row)) for row in data["rows"]],
-          lambda: [f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in data["rows"]]
-          + data["mismatches"] + [f"ok: {data['ok']}"])
+          lambda: itertools.chain(["degree,A,B,total,brute"], (
+              ",".join(map(str, row)) for row in data["rows"])),
+          lambda: itertools.chain((
+              f"{d}: A={a} B={b} brute={br}" for d, a, b, _, br in data["rows"]),
+              data["mismatches"], [f"ok: {data['ok']}"]))
     return EXIT_CODES[status]
 
 
@@ -233,7 +281,8 @@ def cmd_orbits(args):
     data, status = run_orbits(_spec_from_args(args), args.m, args.max_points)
     hist = ", ".join(f"{c} of size {s}" for s, c in data["histogram"])
     _emit(args.format, data,
-          lambda: ["size,multiplicity"] + [f"{s},{c}" for s, c in data["histogram"]],
+          lambda: itertools.chain(["size,multiplicity"], (
+              f"{s},{c}" for s, c in data["histogram"])),
           lambda: [
               f"{data['orbit_count']} orbits of {data['total_points']} points",
               f"histogram: {hist}",
@@ -297,11 +346,11 @@ def cmd_conjecture(args):
 
     def rows():
         if not checked:
-            return ["degree,coeff"] + [f"{d},{c}" for d, c in enumerate(view["coeffs"])]
-        return ["degree,conjecture,brute"] + [
-            f"{d},{s},{b}" for d, s, b in _compared(series, dims, args.truncate)]
+            return _coeff_rows(view["coeffs"])
+        return itertools.chain(["degree,conjecture,brute"], (
+            f"{d},{s},{b}" for d, s, b in _compared(series, dims, args.truncate)))
 
-    _emit(args.format, data, rows, lambda: [series.closed_form, str(series)] + (
+    _emit(args.format, data, rows, lambda: [series.closed_form, series.terms()] + (
         [f"brute dims: {dims}", f"match: {match}"] if checked
         else ["brute cross-check skipped (only run for q <= 3, n <= 2, m <= 2)"]
     ))
@@ -412,7 +461,8 @@ def _sweep_group(batch):
     results = []
     for job in batch:
         payload = _sweep_job(job)
-        results.append((payload["status"], _dump_json(payload)))
+        # a job's text crosses the pool whole, so it is built here, in batches
+        results.append((payload["status"], "".join(_batches(_json_chunks(payload)))))
     return results
 
 
@@ -477,11 +527,12 @@ def cmd_sweep(args):
                 "file": name} for job, tag, name, status in zip(jobs, tags, names, statuses)]
     summary = {"jobs": records, "counts": counts, "skipped_grid_points": skipped}
     _emit(args.format, summary,
-          lambda: ["command,spec,m,status,file"] + [
+          lambda: itertools.chain(["command,spec,m,status,file"], (
               f"{r['command']},{r['spec']},{r['m']},{r['status']},{r['file']}"
-              for r in records],
-          lambda: [f"{r['command']} {r['spec']} m={r['m']}: {r['status']}"
-                   for r in records] + [f"counts: {counts}"])
+              for r in records)),
+          lambda: itertools.chain((
+              f"{r['command']} {r['spec']} m={r['m']}: {r['status']}" for r in records),
+              [f"counts: {counts}"]))
     if counts["fail"]:
         return 1
     if counts["cap"]:

@@ -74,13 +74,15 @@ def _s_polynomial(fi, fj):
 
 def _complete_basis(hlist, max_basis=60):
     basis = list(hlist)
+    leads = [leading_monomial(b) for b in basis]
     queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while queue:
         i, j = queue.pop()
         s = _s_polynomial(basis[i], basis[j])
-        _, r = divide(s, basis)
+        _, r = divide(s, basis, leads)
         if r.terms:
             basis.append(r)
+            leads.append(leading_monomial(r))
             if len(basis) > max_basis:
                 raise CapExceeded("completion exceeded the basis cap")
             queue += [(i, len(basis) - 1) for i in range(len(basis) - 1)]
@@ -94,6 +96,7 @@ def buchberger_check(hgens, from_scratch=False):
     entries = hgens.as_list()
     names = tuple(name for name, _, _ in entries)
     hlist = [hf for _, hf, _ in entries]
+    leads = [leading_monomial(h) for h in hlist]
     Q = hgens.spec.q ** hgens.m
     certificates = []
     ok = True
@@ -104,7 +107,7 @@ def buchberger_check(hgens, from_scratch=False):
     for i in range(len(hlist)):
         for j in range(i + 1, len(hlist)):
             s = _s_polynomial(hlist[i], hlist[j])
-            _, r = divide(s, hlist)
+            _, r = divide(s, hlist, leads)
             certificates.append(
                 {"pair": [i, j], "remainder": "0" if not r.terms else poly_str(r)})
             if r.terms:
@@ -113,7 +116,7 @@ def buchberger_check(hgens, from_scratch=False):
     if from_scratch:
         basis = _complete_basis(hlist)
         completed = len(basis)
-        lms = [leading_monomial(h)[0] for h in hlist]
+        lms = [lm for lm, _ in leads]
         for extra in basis[len(hlist):]:
             lm = leading_monomial(extra)[0]
             if not any(all(a >= b for a, b in zip(lm, known)) for known in lms):

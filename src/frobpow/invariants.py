@@ -235,13 +235,14 @@ def _codes(exps, Q):
 
 @functools.lru_cache(maxsize=None)
 def _binomial_pairs(p, Q):
-    """(keys, codes): the pairs j <= a < Q, Q a power of p, with C(a, j) nonzero mod p.
+    """(keys, lows, codes): the pairs j <= a < Q, Q a power of p, with C(a, j)
+    nonzero mod p.
 
-    keys holds a Q + j, ascending, and codes C(a, j) mod p in the code
-    dtype; both read-only.  By Lucas' theorem these are the pairs whose
-    base-p digits have j_i <= a_i, and C(a, j) = prod C(a_i, j_i) mod p, so
-    they are built a digit at a time from Pascal's triangle mod p, each
-    step's pairs charged first at 32 bytes apiece.
+    keys holds a Q + j, ascending, lows j as int32 and codes C(a, j) mod p
+    in the code dtype; all read-only.  By Lucas' theorem these are the
+    pairs whose base-p digits have j_i <= a_i, and C(a, j) = prod C(a_i,
+    j_i) mod p, so they are built a digit at a time from Pascal's triangle
+    mod p, each step's pairs charged first at 32 bytes apiece.
     """
     what = f"tabulating the binomials below {Q}"
     check_budget(32 * p * p, what)
@@ -259,12 +260,11 @@ def _binomial_pairs(p, Q):
         j = (j[:, None] * p + v).ravel()
     a *= Q
     a += j
-    del j
     order = np.argsort(a)
     codes = codes.astype(_code_dtype(p))[order]
-    keys = a[order]
-    keys.flags.writeable = codes.flags.writeable = False
-    return keys, codes
+    keys, lows = a[order], j[order].astype(np.int32)  # Q^n monomials are listed, so Q < 2^31
+    keys.flags.writeable = lows.flags.writeable = codes.flags.writeable = False
+    return keys, lows, codes
 
 
 def _lucas_window(p, Q, a, lo, hi):
@@ -278,12 +278,11 @@ def _lucas_window(p, Q, a, lo, hi):
 
 
 def _lucas_terms(p, Q, first, counts):
-    """(window, j, C(a, j) mod p) for every pair (a, j) in windows of _lucas_window."""
-    keys, binomials = _binomial_pairs(p, Q)
+    """(window, j, C(a, j) mod p) for every pair (a, j) in windows of
+    _lucas_window; window and j are int32."""
+    _, lows, binomials = _binomial_pairs(p, Q)
     pick = _segments(first, counts)
-    j = keys[pick]
-    j %= Q
-    return np.repeat(np.arange(len(counts), dtype=np.int32), counts), j, binomials[pick]
+    return np.repeat(np.arange(len(counts), dtype=np.int32), counts), lows[pick], binomials[pick]
 
 
 def _split_generators(gens, Q):
@@ -332,25 +331,30 @@ def _fixed_by_diagonals(exps, logs, order):
     return keep
 
 
-def _transvection_terms(cols, codes, move, field, Q):
+def _transvection_terms(cols, codes, move, field, Q, first_row):
     """Nonzero entries (rows, columns, value codes) of g - 1 on the columns
-    whose monomials have the exponent rows cols and the codes codes.
+    whose monomials have the exponent rows cols and the codes codes, its
+    rows counted from first_row.
 
     g^{-1} substitutes x_k -> x_k + c x_l, so x^a goes to the sum over j of
     C(a_k, j) c^j x^(a - j e_k + j e_l).  The j = 0 term cancels against the
     identity, terms with a_l + j >= Q vanish in the quotient and so do those
     whose binomial is zero mod p, so a column's terms are the Lucas window
     of a_k with 1 <= j <= Q - 1 - a_l.  A row is the code of the term's
-    monomial (see _codes).
+    monomial (see _codes) plus first_row, in the dtype of codes, which must
+    hold every row.
     """
     k, l, powers = move
     col, j, binomials = _lucas_terms(field.p, Q, *_transvection_window(cols, move, field.p, Q))
     values = code_arithmetic(field).mul(binomials, powers[j])
     del binomials
     n = cols.shape[1]
-    j *= Q ** (n - 1 - l) - Q ** (n - 1 - k)
-    j += codes[col]
-    return j, col, values
+    rows = j.astype(codes.dtype, copy=False)
+    del j
+    rows *= Q ** (n - 1 - l) - Q ** (n - 1 - k)
+    rows += codes[col]
+    rows += first_row
+    return rows, col, values
 
 
 def _transvection_window(cols, move, p, Q):
@@ -375,15 +379,19 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
     """
     exps = _monomial_table(n, Q)  # charged first: the logs cost q - 1 products
     logs, moves = _split_generators(gens, Q)
-    codes = np.flatnonzero(_fixed_by_diagonals(exps, logs, field.order - 1))
+    nrows = len(moves) * len(exps)
+    # the codes in the dtype the rows are built in, picked from an arange of
+    # it, so no int64 copy is made and freed
+    codes = np.arange(len(exps), dtype=np.int32 if nrows < 2 ** 31 else np.int64)
+    codes = codes[_fixed_by_diagonals(exps, logs, field.order - 1)]
     # the codes, the exponents and a move's windows: int64 keys, bounds and counts
     check_budget(len(codes) * (exps.itemsize * n + 48), f"windowing the {len(codes)} columns")
     cols = exps[codes]
     terms = sum(int(_transvection_window(cols, move, field.p, Q)[1].sum()) for move in moves)
-    entries = CodeEntries(terms, len(moves) * len(exps), len(cols), field)
+    entries = CodeEntries(terms, nrows, len(cols), field)
     for i, move in enumerate(moves):
-        rows, cidx, values = _transvection_terms(cols, codes, move, field, Q)
-        entries.add(rows + i * len(exps), cidx, values)
+        rows, cidx, values = _transvection_terms(cols, codes, move, field, Q, i * len(exps))
+        entries.add(rows, cidx, values)
         del rows, cidx, values
     del codes
     top = n * (Q - 1)
@@ -483,9 +491,21 @@ def _b_mask(exps, spec, Q):
     the monomials x^c x_n^(Q-1) with sum over i < ell of (c_i mod q) >= 2,
     each once.
     """
-    # the masks, the residues of the first ell exponents and their int64 sums
-    check_budget(len(exps) * (exps.itemsize * spec.ell + 10), f"masking the {len(exps)} monomials")
-    return (exps[:, -1] == Q - 1) & ((exps[:, :spec.ell] % spec.q).sum(axis=1) >= 2)
+    # charged as the residues of the first ell exponents plus 10 bytes a
+    # monomial, and 2 KiB for the array headers; one residue column, the
+    # sums and the masks stay within it, as the capped residues sum in the
+    # exponents' own dtype and no cast buffer is needed
+    check_budget(len(exps) * (exps.itemsize * spec.ell + 10) + 2048,
+                 f"masking the {len(exps)} monomials")
+    sums = np.zeros(len(exps), dtype=exps.dtype)
+    for i in range(spec.ell):
+        residue = exps[:, i] % spec.q
+        sums += np.minimum(residue, 2, out=residue)
+        del residue
+    mask = sums >= 2
+    del sums
+    mask &= exps[:, -1] == Q - 1
+    return mask
 
 
 def _ab_ranks(spec, m, cap):

@@ -238,13 +238,16 @@ def reduce_mod_frobenius(f, Q):
     return Polynomial(f.ring, terms)
 
 
-def divide(f, divisors):
+def divide(f, divisors, leads=None):
     """Multivariate division: f = sum q_i d_i + rem, first-divisor-wins.
 
     No monomial of rem is divisible by any divisor's leading monomial; the
-    quotients depend on the list order, so callers fix it.
+    quotients depend on the list order, so callers fix it.  leads, the
+    divisors' leading terms in order, saves a caller that divides by the
+    same list many times from listing them on every call.
     """
-    leads = [leading_monomial(d) for d in divisors]
+    if leads is None:
+        leads = [leading_monomial(d) for d in divisors]
     quotients = [f.ring.zero()] * len(divisors)
     rem_terms = {}
     work = f

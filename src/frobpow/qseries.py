@@ -53,9 +53,20 @@ class TruncatedSeries:
             out["conjectural"] = True
         return out
 
+    def terms(self):
+        """The text of the series a term at a time: c*t^d for each nonzero
+        coefficient by ascending degree, each after the first led by " + ";
+        a zero series is the one term "0"."""
+        sep = ""
+        for d, c in enumerate(self.coeffs):
+            if c:
+                yield f"{sep}{c}*t^{d}"
+                sep = " + "
+        if not sep:
+            yield "0"
+
     def __str__(self):
-        parts = [f"{c}*t^{d}" for d, c in enumerate(self.coeffs) if c]
-        return " + ".join(parts) if parts else "0"
+        return "".join(self.terms())
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from frobpow import cli, ff, invariants
-from frobpow.cli import _dump_json, _expand_manifest, _sweep_group, _sweep_job, main
+from frobpow.cli import _expand_manifest, _sweep_group, _sweep_job, main
+
+
+def whole_json(data):
+    """The JSON text of data as one string: what the streamed writer must match."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 GOLDEN_HILBERT_FORMULA = """\
 {
@@ -867,7 +873,7 @@ class TestSweep:
             else:
                 single = json.loads(out)
             expected = single | {"command": job["command"], "status": statuses[code]}
-            assert (tmp_path / "out" / job["file"]).read_text() == _dump_json(expected)
+            assert (tmp_path / "out" / job["file"]).read_text() == whole_json(expected)
             seen.add((job["command"], statuses[code], data.get("mode")))
         assert ("hilbert", "ok", "brute") in seen
         assert ("hilbert", "ok", "both") in seen
@@ -936,7 +942,7 @@ class TestSweep:
         batch, _ = _expand_manifest(manifest)
         assert len(batch) == 6
         results = _sweep_group(batch)
-        assert results == [(_sweep_job(job)["status"], _dump_json(_sweep_job(job)))
+        assert results == [(_sweep_job(job)["status"], whole_json(_sweep_job(job)))
                            for job in batch]
         assert {status for status, _ in results} == {"ok", "skip"}
 
@@ -955,6 +961,99 @@ class TestSweep:
         written = sorted(f.name for f in (tmp_path / "out").iterdir())
         assert written == sorted(f"{cmd}_{tag}_m1.json" for tag in DYING_TAGS[:-1]
                                  for cmd in ("hilbert", "orbits"))
+
+
+class Sink:
+    """A stdout that keeps only the length of what is written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def whole_rendering(fmt, data, csv_rows, pretty_lines):
+    """What the writer must stream: the one string each format once was."""
+    if fmt == "json":
+        return whole_json(data)
+    lines = csv_rows() if fmt == "csv" else pretty_lines()
+    return "\n".join(line if isinstance(line, str) else "".join(line) for line in lines) + "\n"
+
+
+class TestWriter:
+    # (id, argv): payloads of 71 kB to 777 kB, past the 64 KiB pipe buffer
+    CASES = [
+        ("hilbert-formula-p101-m2", ["hilbert", "--p", "101", "--n", "2", "--m", "2",
+                                     "--mode", "formula"]),
+        ("conjecture-q2-m12", ["conjecture", "--q", "2", "--n", "2", "--m", "12"]),
+        ("gbcheck-p2-n16", ["gbcheck", "--p", "2", "--n", "16", "--m", "1"]),
+    ]
+
+    @staticmethod
+    def recorded(monkeypatch, argv):
+        """The arguments main(argv) hands cli._emit, which writes nothing."""
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit", lambda *args: calls.append(args[1:]))
+            code = main(argv)
+        assert len(calls) == 1
+        return code, calls[0]
+
+    def check_every_format(self, capsys, monkeypatch, rendering):
+        # a batch of 7 cuts every payload into thousands of writes, the last one short
+        monkeypatch.setattr(cli, "_BATCH", 7)
+        for fmt in ("json", "csv", "pretty"):
+            cli._emit(fmt, *rendering)
+            assert capsys.readouterr().out == whole_rendering(fmt, *rendering), fmt
+
+    @pytest.mark.parametrize("argv", [case[1] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_streamed_output_is_the_whole_rendering(self, capsys, monkeypatch, argv):
+        code, rendering = self.recorded(monkeypatch, argv)
+        assert code == 0
+        self.check_every_format(capsys, monkeypatch, rendering)
+
+    def test_streamed_sweep_summary_is_the_whole_rendering(
+            self, tmp_path, capsys, monkeypatch):
+        code, rendering = self.recorded(monkeypatch, [
+            "sweep", "--manifest", str(write_manifest(tmp_path))])
+        assert code == 0 and len(rendering[0]["jobs"]) == 12
+        self.check_every_format(capsys, monkeypatch, rendering)
+
+    @pytest.mark.parametrize("size", [0, 1, 6, 7, 8, 14, 15])
+    def test_batches_join_every_chunk_once(self, monkeypatch, size):
+        monkeypatch.setattr(cli, "_BATCH", 7)
+        chunks = [chr(ord("a") + i) for i in range(size)]
+        batches = list(cli._batches(iter(chunks)))
+        assert "".join(batches) == "".join(chunks)
+        assert [len(b) for b in batches] == [7] * (size // 7) + ([size % 7] if size % 7 else [])
+
+    # rendering 10^6 coefficients holds a batch of chunks, never the text:
+    # about 0.2 MB of the 14 to 18 MB each format writes
+    RENDER_BYTES = 2 ** 19
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+    def test_rendering_a_long_series_peaks_within_a_batch(self, monkeypatch, fmt):
+        from frobpow.qseries import TruncatedSeries
+
+        series = TruncatedSeries(tuple(d * 7919 % 1000003 for d in range(10 ** 6)),
+                                 closed_form="f")
+        view = series.to_json()
+        data = {"series": view, "total": series.total}
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(fmt, data, lambda: cli._coeff_rows(view["coeffs"]),
+                      lambda: [series.closed_form, series.terms(), f"total {series.total}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 13 * 10 ** 6
+        assert peak <= self.RENDER_BYTES
 
 
 class TestParser:

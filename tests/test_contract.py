@@ -148,3 +148,22 @@ def test_sweep_over_a_huge_m_keeps_the_contract(tmp_path):
     assert {job["status"] for job in jobs if job["m"] == 1} == {"ok"}
     assert {job["status"] for job in jobs if job["m"] != 1} == {"cap"}
     assert all((out / job["file"]).exists() for job in jobs)
+
+
+# about 180 kB in each format, past the 64 KiB pipe buffer
+EARLY_CLOSE = ["hilbert", "--p", "101", "--n", "2", "--m", "2", "--mode", "formula"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_a_reader_that_closes_early_keeps_the_contract(fmt):
+    # the reader takes 50 bytes and closes the pipe: the rest of the output
+    # is dropped quietly and the verdict's exit code stands
+    proc = subprocess.Popen([sys.executable, "-m", "frobpow.cli", *EARLY_CLOSE, "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert len(head) == 50
+    assert err == b""

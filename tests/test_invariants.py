@@ -549,10 +549,14 @@ class TestIntegerCodeAssembly:
                 for target, c in terms.items():
                     if c:
                         expected[row_of[target], ci] = field.encode(c)
-            rows, cols, values = _transvection_terms(exps, codes, moves[0], field, Q)
+            rows, cols, values = _transvection_terms(exps, codes, moves[0], field, Q, 0)
             got = {(int(r), int(c)): int(v) for r, c, v in zip(rows, cols, values)}
             assert len(got) == len(rows)
             assert got == expected
+            # int32 codes give int32 rows, here counted from the next move's first row
+            shifted = _transvection_terms(exps, codes.astype(np.int32), moves[0], field, Q,
+                                          Q ** n)[0]
+            assert shifted.dtype == np.int32 and (shifted == rows + Q ** n).all()
 
     @pytest.mark.parametrize("case", ASSEMBLY_CASES, ids=_case_id)
     def test_ranks_match_the_nullspace_basis(self, case):
@@ -626,12 +630,13 @@ class TestIntegerCodeAssembly:
     def test_lucas_binomials_match_binom_mod_p(self):
         # the table lists exactly the nonzero binomials, in key order
         for p, Q in ((2, 128), (3, 81), (5, 125), (7, 343), (11, 121), (127, 127), (3, 3)):
-            keys, codes = _binomial_pairs(p, Q)
-            expected = [(a * Q + j, binom_mod_p(a, j, p))
+            keys, lows, codes = _binomial_pairs(p, Q)
+            expected = [(a * Q + j, j, binom_mod_p(a, j, p))
                         for a in range(Q) for j in range(a + 1) if binom_mod_p(a, j, p)]
-            assert list(zip(keys.tolist(), codes.tolist())) == expected
+            assert list(zip(keys.tolist(), lows.tolist(), codes.tolist())) == expected
+            assert lows.dtype == np.int32
             assert codes.dtype == ff.code_arithmetic(make_field(p)).dtype
-            assert not (keys.flags.writeable or codes.flags.writeable)
+            assert not (keys.flags.writeable or lows.flags.writeable or codes.flags.writeable)
 
     def test_brute_oracle_never_calls_the_closed_forms(self):
         calls = []
@@ -774,16 +779,21 @@ class TestIntegerCodeAssembly:
         (GroupSpec(p=2, n=6, ell=5, e=1), 3),  # no diagonal generator
         (GroupSpec(p=5, n=2, ell=1, e=4), 4),
         (GroupSpec(p=2, r=2, n=3, full_stabilizer=True), 3),
+        # small tables, where a fixed buffer would outgrow the per-monomial charge
+        (GroupSpec(p=3, n=2, ell=1, e=2), 2),
+        (GroupSpec(p=5, n=3, ell=2, e=4), 1),
     ], ids=str)
     def test_monomial_scans_peak_within_their_charges(self, monkeypatch, spec, m):
-        # the diagonal weights and the B mask scan the whole table; each
-        # stays within the charge it makes before it allocates
+        # the diagonal weights and the B mask scan the whole table, and the
+        # B mask the x_n^(Q-1) stride that _ab_ranks counts; each stays
+        # within the charge it makes before it allocates
         Q = spec.q ** m
         exps = _monomial_table(spec.n, Q)
         logs = _split_generators(build_group(spec), Q)[0]
         check = ff.check_budget
         for scan in (lambda: _fixed_by_diagonals(exps, logs, spec.field.order - 1),
-                     lambda: _b_mask(exps, spec, Q)):
+                     lambda: _b_mask(exps, spec, Q),
+                     lambda: _b_mask(exps[Q - 1::Q], spec, Q)):
             charged = []
 
             def record(nbytes, what):

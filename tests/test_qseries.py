@@ -57,6 +57,10 @@ class TestExpand:
         s = TruncatedSeries((1, 0, 2), closed_form="f")
         assert str(s) == "1*t^0 + 2*t^2"
         assert str(TruncatedSeries((0, 0))) == "0"
+        # the streamed pretty line is made of the same pieces as str
+        assert list(s.terms()) == ["1*t^0", " + 2*t^2"]
+        assert list(TruncatedSeries((0, 5, 0, 7)).terms()) == ["5*t^1", " + 7*t^3"]
+        assert list(TruncatedSeries((0, 0)).terms()) == ["0"]
         assert s.to_json() == {"coeffs": [1, 0, 2], "truncation": 2, "closed_form": "f"}
         assert s[2] == 2 and s[5] == 0 and s[-1] == 0
 
