@@ -461,8 +461,8 @@ def _sweep_group(batch):
     results = []
     for job in batch:
         payload = _sweep_job(job)
-        # a job's text crosses the pool whole, so it is built here, in batches
-        results.append((payload["status"], "".join(_batches(_json_chunks(payload)))))
+        # a job's text crosses the pool whole, so it is built whole here
+        results.append((payload["status"], json.dumps(payload, sort_keys=True, indent=2) + "\n"))
     return results
 
 

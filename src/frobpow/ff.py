@@ -465,9 +465,6 @@ class FieldElem:
     def __hash__(self):
         return hash((self.field.p, self.field.r, self.coeffs))
 
-    def to_json(self):
-        return list(self.coeffs)
-
     def __str__(self):
         if self.field.r == 1:
             return str(self.coeffs[0])
@@ -622,9 +619,6 @@ class MatrixFq:
         if inv is None:
             raise ValueError("matrix not invertible")
         return inv
-
-    def to_json(self):
-        return [[self.entry(i, j).to_json() for j in range(self.cols)] for i in range(self.rows)]
 
     def __str__(self):
         return "[" + "; ".join(

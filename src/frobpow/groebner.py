@@ -63,9 +63,10 @@ class BuchbergerReport:
                 "ok": self.ok, "completed_size": self.completed_size}
 
 
-def _s_polynomial(fi, fj):
+def _s_polynomial(fi, fj, lead_i, lead_j):
+    """The S-polynomial of fi and fj, given their leading terms."""
     ring = fi.ring
-    (mi, ci), (mj, cj) = leading_monomial(fi), leading_monomial(fj)
+    (mi, ci), (mj, cj) = lead_i, lead_j
     lcm = tuple(max(a, b) for a, b in zip(mi, mj))
     ui = ring.monomial(tuple(a - b for a, b in zip(lcm, mi)), cj)
     uj = ring.monomial(tuple(a - b for a, b in zip(lcm, mj)), ci)
@@ -78,7 +79,7 @@ def _complete_basis(hlist, max_basis=60):
     queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while queue:
         i, j = queue.pop()
-        s = _s_polynomial(basis[i], basis[j])
+        s = _s_polynomial(basis[i], basis[j], leads[i], leads[j])
         _, r = divide(s, basis, leads)
         if r.terms:
             basis.append(r)
@@ -106,7 +107,7 @@ def buchberger_check(hgens, from_scratch=False):
             certificates.append({"pair": None, "remainder": "membership failure"})
     for i in range(len(hlist)):
         for j in range(i + 1, len(hlist)):
-            s = _s_polynomial(hlist[i], hlist[j])
+            s = _s_polynomial(hlist[i], hlist[j], leads[i], leads[j])
             _, r = divide(s, hlist, leads)
             certificates.append(
                 {"pair": [i, j], "remainder": "0" if not r.terms else poly_str(r)})

@@ -78,7 +78,7 @@ def basic_invariants(spec):
     for the full stabilizer, so the binomials x_i^q - x_i x_n^(q-1), i < ell,
     cover the prime-field family and the full stabilizer alike.
     """
-    from .poly import PolyRing, substitute_linear  # only the Groebner checks need polynomials
+    from .poly import PolyRing, compose, linear_images  # only the Groebner checks need polynomials
 
     check_table_budget(spec.p, spec.r)  # before spec.field's modulus search
     n, q = spec.n, spec.q
@@ -90,22 +90,17 @@ def basic_invariants(spec):
     code_arithmetic(spec.field)  # refuse an int64 overflow before root_of_unity's scan
     # substitution is a right action, so f o g^{-1} = f exactly when f o g = f
     for g in build_group(spec):
+        images = linear_images(g, ring)
         for f in polys:
-            assert substitute_linear(f, g) == f, "generator fails to fix a basic invariant"
+            assert compose(f, images) == f, "generator fails to fix a basic invariant"
     return BasicInvariants(tuple(polys), tuple(weights))
 
 
 def expand_f(fpoly, basics):
     """Expansion of an f-coordinate polynomial into x-coordinates."""
-    xring = basics.ring
-    out = xring.zero()
-    for mono, c in fpoly.terms.items():
-        term = xring.constant(c)
-        for fi, a in zip(basics.polys, mono):
-            if a:
-                term = term * fi ** a
-        out = out + term
-    return out
+    from .poly import compose
+
+    return compose(fpoly, basics.polys)
 
 
 @dataclass(frozen=True)
@@ -491,12 +486,11 @@ def _b_mask(exps, spec, Q):
     the monomials x^c x_n^(Q-1) with sum over i < ell of (c_i mod q) >= 2,
     each once.
     """
-    # charged as the residues of the first ell exponents plus 10 bytes a
-    # monomial, and 2 KiB for the array headers; one residue column, the
-    # sums and the masks stay within it, as the capped residues sum in the
-    # exponents' own dtype and no cast buffer is needed
-    check_budget(len(exps) * (exps.itemsize * spec.ell + 10) + 2048,
-                 f"masking the {len(exps)} monomials")
+    # charged as the most it holds at once, the sums and one residue column
+    # in the exponents' own dtype, and 2 KiB for the array headers; the sums
+    # and a mask, or two masks of a byte a monomial, take no more, and the
+    # capped residues sum in that dtype, so numpy needs no cast buffer
+    check_budget(len(exps) * 2 * exps.itemsize + 2048, f"masking the {len(exps)} monomials")
     sums = np.zeros(len(exps), dtype=exps.dtype)
     for i in range(spec.ell):
         residue = exps[:, i] % spec.q

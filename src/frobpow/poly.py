@@ -6,9 +6,15 @@ tuple to nonzero coefficient.  The same machinery carries both the ambient
 ring in the variables x_1..x_n (all weights 1) and the invariant subring in
 the basic invariants f_1..f_n (weights deg f_i), because the two orders of
 interest are weighted graded-lex with first-variable precedence in both.
-The order is the ring's: PolyRing.key sorts monomials by it.  Terms never
-change after construction, so a polynomial's leading term is taken once and
-kept.
+The order is the ring's: PolyRing.key sorts monomials by it.  A polynomial
+is a plain value, its terms fixed at construction and nothing cached on
+it; its leading term is a max over them, and a loop that needs the same
+leads many times keeps them itself.
+
+Both substitutions of the invariant theory run through compose, which
+replaces each x_i by the i-th of a list of polynomials in one ring: a group
+element's linear images of the x_i (substitute_linear, monomial_images), and
+the basic invariants' x-expansions of the f_i (invariants.expand_f).
 
 Powers use the Frobenius: in characteristic p, f^p is f with every exponent
 times p and every coefficient to the p-th power, so f^k is the product over
@@ -97,12 +103,11 @@ def _mono_div(u, v):
 class Polynomial:
     """Immutable sparse polynomial; terms map exponent tuple -> nonzero coeff."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._lead = None   # (monomial, coefficient), filled by leading_monomial
 
     def _check(self, other):
         if isinstance(other, Polynomial):
@@ -202,18 +207,6 @@ class Polynomial:
                                           for m, c in frob.terms.items()})
         return result
 
-    def total_degree(self):
-        """Max unweighted degree; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(m) for m in self.terms)
-
-    def weighted_degree(self, weights=None):
-        if not self.terms:
-            return None
-        w = self.ring.weights if weights is None else weights
-        return max(sum(wi * a for wi, a in zip(w, m)) for m in self.terms)
-
     def __str__(self):
         return poly_str(self)
 
@@ -222,12 +215,10 @@ class Polynomial:
 
 def leading_monomial(f):
     """Maximal (monomial, coefficient) under the ring's order; error on zero."""
-    if f._lead is None:
-        if not f.terms:
-            raise ValueError("LM of zero")
-        m = max(f.terms, key=f.ring.key)
-        f._lead = m, f.terms[m]
-    return f._lead
+    if not f.terms:
+        raise ValueError("LM of zero")
+    m = max(f.terms, key=f.ring.key)
+    return m, f.terms[m]
 
 
 def reduce_mod_frobenius(f, Q):
@@ -265,31 +256,36 @@ def divide(f, divisors, leads=None):
     return quotients, Polynomial(f.ring, rem_terms)
 
 
+def compose(f, images):
+    """f with each x_i replaced by images[i]; the images share one ring, the result's."""
+    ring = images[0].ring
+    out = ring.zero()
+    for m, c in f.terms.items():
+        term = ring.constant(c)
+        for image, a in zip(images, m):
+            if a:
+                term = term * image ** a
+        out = out + term
+    return out
+
+
+def linear_images(g, ring):
+    """The images of x_1..x_n under substitute_linear by g: x_j -> sum_i g[j][i] x_i."""
+    if g.rows != ring.n or g.cols != ring.n or g.field != ring.field:
+        raise ValueError("substitution matrix must be n x n over the ring's field")
+    xs = [ring.variable(i) for i in range(ring.n)]
+    return [sum((x * g.entry(j, i) for i, x in enumerate(xs)), ring.zero())
+            for j in range(ring.n)]
+
+
 def monomial_images(g, ring):
     """x^a -> its image under the substitution of substitute_linear, by g.
 
-    Returns a function of the exponent tuple a.  The image of x_j is the row-j
-    combination sum_i g[j][i] x_i, and x^a goes to the product of their powers.
+    Returns a function of the exponent tuple a: the product of the images of
+    the x_j to the powers a_j.
     """
-    if g.rows != ring.n or g.cols != ring.n or g.field != ring.field:
-        raise ValueError("substitution matrix must be n x n over the ring's field")
-    rows = []
-    for j in range(ring.n):
-        img = ring.zero()
-        for i in range(ring.n):
-            c = g.entry(j, i)
-            if c:
-                img = img + ring.monomial(tuple(1 if t == i else 0 for t in range(ring.n)), c)
-        rows.append(img)
-
-    def image(exps):
-        out = ring.one()
-        for row, a in zip(rows, exps):
-            if a:
-                out = out * row ** a
-        return out
-
-    return image
+    images = linear_images(g, ring)
+    return lambda exps: compose(ring.monomial(exps), images)
 
 
 def substitute_linear(f, g):
@@ -297,11 +293,7 @@ def substitute_linear(f, g):
 
     See the module docstring for the convention and a worked example.
     """
-    image = monomial_images(g, f.ring)
-    out = f.ring.zero()
-    for m, c in f.terms.items():
-        out = out + image(m) * c
-    return out
+    return compose(f, linear_images(g, f.ring))
 
 
 def poly_str(f):

@@ -125,7 +125,8 @@ class TestBuchberger:
         names = [name for name, _, _ in entries]
         i = names.index("h_{2,1,1}")
         j = names.index("h_{2,2,2}")
-        s = _s_polynomial(entries[i][1], entries[j][1])
+        hi, hj = entries[i][1], entries[j][1]
+        s = _s_polynomial(hi, hj, leading_monomial(hi), leading_monomial(hj))
         _, r = divide(s, [hf for _, hf, _ in entries])
         assert not r.terms
 

@@ -305,33 +305,7 @@ def test_division_identity(rp):
         assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)
 
 
-def test_divisor_leads_are_keyed_once(monkeypatch):
-    ring = PolyRing(F5, 3, weights=(5, 5, 4), prefix="f")
-    f1, f2, f3 = (ring.variable(i) for i in range(3))
-    divisors = [f1 ** 2 + 3 * f2 * f3, f2 ** 2 + f1 + 4, f3 ** 3 + 2 * f1 * f3]
-    fresh = [Polynomial(ring, dict(d.terms)) for d in divisors]
-    calls = []
-    key = PolyRing.key
-    monkeypatch.setattr(PolyRing, "key", lambda self, exps: calls.append(exps) or key(self, exps))
-
-    def keyed(f, divs):
-        calls.clear()
-        result = divide(f, divs)
-        return result, len(calls)
-
-    divisor_terms = sum(len(d.terms) for d in divisors)
-    a = f1 ** 3 * f3 + f2 ** 4 + 2 * f1 * f2 * f3 + 1
-    b = f3 ** 5 + f2 ** 3 * f1 + 3 * f2
-    _, first = keyed(a, divisors)
-    assert first > divisor_terms
-    cached, again = keyed(b, divisors)
-    uncached, cold = keyed(Polynomial(ring, dict(b.terms)), fresh)
-    assert cached == uncached
-    assert again == cold - divisor_terms
-
-
 def test_leading_monomial_of_zero_raises_every_call():
-    # the cached lead is never filled for zero, so the error repeats
     zero = PolyRing(F5, 3, weights=(5, 5, 4), prefix="f").zero()
     for _ in range(2):
         with pytest.raises(ValueError, match="LM of zero"):
