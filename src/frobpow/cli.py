@@ -43,7 +43,7 @@ atexit.register(gc.freeze)
 # Only the layers every check runs load here; the others load inside the
 # functions that call them.
 from .ff import DEFAULT_MONOMIAL_CAP, DEFAULT_POINT_CAP, CapExceeded, check_cap, \
-    factor_prime_power
+    check_power_cap, factor_prime_power
 from .group import GroupSpec
 from .invariants import brute_force_hilbert, full_gl_fixed_basis, h_generators, \
     verify_decomposition
@@ -61,21 +61,8 @@ def _spec_from_args(args):
         p, r = args.p, args.r
     else:
         raise ValueError("a base field is required: --p (with --r) or --q")
-    if args.full_stabilizer:  # a given --ell or --e must agree with the stabilizer
-        return GroupSpec(p=p, r=r, n=args.n, ell=args.ell, e=args.e, full_stabilizer=True)
-    return _build_spec(p, r, args.n, args.ell, args.e, False)
-
-
-def _build_spec(p, r, n, ell, e, full_stabilizer):
-    """Missing ell/e default to the largest group: ell = n - 1, e = q - 1."""
-    if full_stabilizer:
-        return GroupSpec(p=p, r=r, n=n, full_stabilizer=True)
-    q = p**r
-    return GroupSpec(
-        p=p, r=r, n=n,
-        ell=n - 1 if ell is None else ell,
-        e=q - 1 if e is None else e,
-    )
+    return GroupSpec(p=p, r=r, n=args.n, ell=args.ell, e=args.e,
+                     full_stabilizer=args.full_stabilizer)
 
 
 # Chunks or lines joined per write: few enough that no rendering is held
@@ -190,8 +177,8 @@ def cmd_hilbert(args):
     if args.mode == "formula":
         # pretty output shows the whole series, the JSON and CSV the window
         _require_closed_form(spec)
-        check_cap(spec.n * (spec.q ** args.m - 1) + 1, args.max_monomials,
-                  "the series", "coefficients")
+        check_power_cap(spec.q, args.m, args.max_monomials, "the series", "coefficients",
+                        spec.n, 1 - spec.n)
         _check_truncate(args.truncate, args.max_monomials)
         from .qseries import hilbert_for_spec
 
@@ -324,7 +311,7 @@ def check_conjecture(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP, truncate=None)
     compares the degrees that _compared lists.
     """
     factor_prime_power(q)  # an invalid q exits 2 before any cap
-    check_cap(n * (q ** m - 1) + 1, max_monomials, "the series", "coefficients")
+    check_power_cap(q, m, max_monomials, "the series", "coefficients", n, 1 - n)
     _check_truncate(truncate, max_monomials)
     from .qseries import lrs_conjecture
 
@@ -375,7 +362,12 @@ def _grid_value_ok(axis, value):
 
 
 def _expand_manifest(manifest):
-    """Validated (jobs, skipped) from a manifest dict; jobs sorted by key."""
+    """Validated (jobs, caps, skipped) from a manifest dict.
+
+    A job is (command, spec tag, m, spec), one for each (command, tag, m), in
+    sorted order.  A full-stabilizer grid point ignores the ell and e axes,
+    so its copies are one job, and only an invalid group is a skipped point.
+    """
     _expect(manifest, dict, "a manifest")
     unknown = set(manifest) - {"grid", "commands", "output_dir", "caps"}
     if unknown:
@@ -411,19 +403,17 @@ def _expand_manifest(manifest):
     ]
     if not axes[0] or not axes[2]:
         raise ValueError("grid requires nonempty 'p' and 'n' axes")
-    seen = {}
+    jobs = set()
     skipped = 0
     for p, r, n, m, ell, e, full in itertools.product(*axes):
         try:
-            spec = _build_spec(p, r, n, ell, e, full)
+            spec = GroupSpec(p=p, r=r, n=n, ell=None if full else ell,
+                             e=None if full else e, full_stabilizer=full)
         except ValueError:
             skipped += 1
             continue
-        for cmd in commands:
-            key = (cmd, _spec_tag(spec), m)
-            seen[key] = {"command": cmd, "spec": spec.to_json(), "m": m,
-                         "caps": caps}
-    return [seen[key] for key in sorted(seen)], skipped
+        jobs.update((cmd, _spec_tag(spec), m, spec) for cmd in commands)
+    return sorted(jobs), caps, skipped
 
 
 def _spec_tag(spec):
@@ -432,12 +422,11 @@ def _spec_tag(spec):
     return f"{field}n{spec.n}{group}"
 
 
-def _sweep_job(job):
+def _sweep_job(job, caps):
     """One grid point, one subcommand: its payload plus command and status."""
     from .qseries import has_closed_form
 
-    spec = GroupSpec.from_json(job["spec"])
-    command, m, caps = job["command"], job["m"], job["caps"]
+    command, _, m, spec = job
     try:
         if command == "hilbert":
             mode = "both" if has_closed_form(spec) else "brute"
@@ -456,25 +445,30 @@ def _sweep_job(job):
     return payload | {"command": command, "status": status}
 
 
-def _sweep_group(batch):
+def _sweep_group(batch, caps):
     """The jobs of one group, run in order: (status, job file text) for each."""
     results = []
     for job in batch:
-        payload = _sweep_job(job)
+        payload = _sweep_job(job, caps)
         # a job's text crosses the pool whole, so it is built whole here
         results.append((payload["status"], json.dumps(payload, sort_keys=True, indent=2) + "\n"))
     return results
 
 
-def _group_results(groups, workers):
-    """_sweep_group of every batch, yielded in order as each one finishes."""
+def _group_results(groups, caps, max_workers):
+    """_sweep_group of every batch, yielded in order as each one finishes.
+
+    A pool starts all its workers at once, so it gets no more than one per
+    group, and a single group runs in this process.
+    """
+    workers = min(max_workers, len(groups))
     if workers == 1:
-        yield from map(_sweep_group, groups)
+        yield from map(_sweep_group, groups, itertools.repeat(caps))
         return
     from concurrent.futures import ProcessPoolExecutor  # only a pool sweep pays for it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_sweep_group, groups)
+        yield from pool.map(_sweep_group, groups, itertools.repeat(caps))
 
 
 def _unwritable(exc):
@@ -499,14 +493,13 @@ def cmd_sweep(args):
         manifest = json.loads(Path(args.manifest).read_text())
     except OSError as exc:
         raise ValueError(f"cannot read the manifest: {exc}") from None
-    jobs, skipped = _expand_manifest(manifest)
+    jobs, caps, skipped = _expand_manifest(manifest)
     if not jobs:
         print("manifest produced no valid grid points", file=sys.stderr)
         return 2
-    tags = [_spec_tag(GroupSpec.from_json(job["spec"])) for job in jobs]
-    names = [f"{job['command']}_{tag}_m{job['m']}.json" for job, tag in zip(jobs, tags)]
+    names = [f"{command}_{tag}_m{m}.json" for command, tag, m, _ in jobs]
     groups = {}
-    for i, tag in enumerate(tags):
+    for i, (_, tag, _, _) in enumerate(jobs):
         groups.setdefault(tag, []).append(i)
     batches = [[jobs[i] for i in group] for group in groups.values()]
     outdir = Path(manifest["output_dir"])
@@ -515,7 +508,7 @@ def cmd_sweep(args):
     except OSError as exc:
         raise _unwritable(exc) from None
     statuses = [None] * len(jobs)
-    for group, results in zip(groups.values(), _group_results(batches, args.jobs)):
+    for group, results in zip(groups.values(), _group_results(batches, caps, args.jobs)):
         for i, (status, text) in zip(group, results):
             try:
                 (outdir / names[i]).write_text(text)
@@ -523,8 +516,8 @@ def cmd_sweep(args):
                 raise _unwritable(exc) from None
             statuses[i] = status
     counts = {status: statuses.count(status) for status in ("ok", "fail", "cap", "skip")}
-    records = [{"command": job["command"], "spec": tag, "m": job["m"], "status": status,
-                "file": name} for job, tag, name, status in zip(jobs, tags, names, statuses)]
+    records = [{"command": command, "spec": tag, "m": m, "status": status, "file": name}
+               for (command, tag, m, _), name, status in zip(jobs, names, statuses)]
     summary = {"jobs": records, "counts": counts, "skipped_grid_points": skipped}
     _emit(args.format, summary,
           lambda: itertools.chain(["command,spec,m,status,file"], (

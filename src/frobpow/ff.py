@@ -64,11 +64,32 @@ def count_str(n):
     return str(n) if n < 10 ** 20 else f"about 2^{round(math.log2(n))}"
 
 
+def _over_cap(need_text, cap, subject, unit):
+    return CapExceeded(f"{subject} needs {need_text} {unit}, above the cap of {count_str(cap)}")
+
+
 def check_cap(need, cap, subject, unit):
     """CapExceeded when need units of an enumeration pass its cap."""
     if need > cap:
-        raise CapExceeded(f"{subject} needs {count_str(need)} {unit}, "
-                          f"above the cap of {count_str(cap)}")
+        raise _over_cap(count_str(need), cap, subject, unit)
+
+
+def check_power_cap(base, exp, cap, subject, unit, scale=1, shift=0):
+    """check_cap of need = scale * base^exp + shift, for base >= 2.
+
+    With scale >= 1, a power whose logarithm clears the cap, 10^20 and the
+    shift by far is refused by that logarithm, as count_str would print
+    need, without being built: at a huge exponent the power alone takes
+    seconds to minutes.  log2(base) is taken as the exact ratio of its
+    float, so no exponent overflows the logarithm.
+    """
+    num, den = math.log2(base).as_integer_ratio()
+    if scale >= 1 and exp * num > (cap.bit_length() + 67 + abs(shift).bit_length()) * den:
+        from fractions import Fraction  # only a refusal loads it
+
+        bits = Fraction(exp * num, den) + Fraction(math.log2(scale))
+        raise _over_cap(f"about 2^{round(bits)}", cap, subject, unit)
+    check_cap(scale * base ** exp + shift, cap, subject, unit)
 
 
 _TRIAL_LIMIT = 1000  # trial divisors stay below it, so it decides n < 999^2

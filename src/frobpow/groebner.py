@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ff import DEFAULT_MONOMIAL_CAP, CapExceeded, check_cap
+from .ff import DEFAULT_MONOMIAL_CAP, CapExceeded, check_power_cap
 from .group import GroupSpec
 from .invariants import basic_invariants, expand_f, h_generators
 from .poly import divide, leading_monomial, poly_str, reduce_mod_frobenius
@@ -220,7 +220,7 @@ def resolution_2d(p, m, e, ell=1):
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     # the series are compared through degree D = 2p^m + e
-    check_cap(2 * p ** m + e + 1, DEFAULT_MONOMIAL_CAP, "the series", "coefficients")
+    check_power_cap(p, m, DEFAULT_MONOMIAL_CAP, "the series", "coefficients", 2, e + 1)
     basics = basic_invariants(spec)
     fring = basics.f_ring()
     F, E = fring.variable(0), fring.variable(1)

@@ -25,6 +25,7 @@ class GroupSpec:
     ell counts hyperplane coordinates carrying roots over all of F_q, e is the
     order of the diagonal reflection.  For r > 1 only ell = 0 and
     full_stabilizer, GL_n(F_q)_H with ell = n - 1 and e = q - 1, are admitted.
+    An omitted ell or e takes that largest family's value.
     """
 
     p: int
@@ -39,18 +40,16 @@ class GroupSpec:
         if self.n < 2:
             raise ValueError("dimension n must be at least 2")
         q = self.p ** self.r
+        if self.ell is None:
+            object.__setattr__(self, "ell", self.n - 1)
+        elif self.full_stabilizer and self.ell != self.n - 1:
+            raise ValueError("full stabilizer forces ell = n - 1")
+        if self.e is None:
+            object.__setattr__(self, "e", q - 1)
+        elif self.full_stabilizer and self.e != q - 1:
+            raise ValueError("full stabilizer forces e = q - 1")
         if self.full_stabilizer:
-            if self.ell is None:
-                object.__setattr__(self, "ell", self.n - 1)
-            elif self.ell != self.n - 1:
-                raise ValueError("full stabilizer forces ell = n - 1")
-            if self.e is None:
-                object.__setattr__(self, "e", q - 1)
-            elif self.e != q - 1:
-                raise ValueError("full stabilizer forces e = q - 1")
             return
-        if self.ell is None or self.e is None:
-            raise ValueError("ell and e are required unless full_stabilizer is set")
         if not 0 <= self.ell <= self.n - 1:
             raise ValueError("ell must lie in [0, n - 1]")
         if self.e < 1 or (q - 1) % self.e != 0:
@@ -78,20 +77,6 @@ class GroupSpec:
             "p": self.p, "r": self.r, "n": self.n, "ell": self.ell,
             "e": self.e, "full_stabilizer": self.full_stabilizer,
         }
-
-    @classmethod
-    def from_json(cls, data):
-        allowed = {"p", "r", "n", "ell", "e", "full_stabilizer"}
-        extra = set(data) - allowed
-        if extra:
-            raise ValueError(f"unknown spec fields: {sorted(extra)}")
-        if "p" not in data or "n" not in data:
-            raise ValueError("spec requires at least p and n")
-        return cls(
-            p=data["p"], r=data.get("r", 1), n=data["n"],
-            ell=data.get("ell"), e=data.get("e"),
-            full_stabilizer=data.get("full_stabilizer", False),
-        )
 
 
 def _diagonal(field, n, omega):
@@ -158,48 +143,36 @@ def act(g, f):
     return substitute_linear(f, g.inverse())
 
 
-def root_vector(g, l=None):
-    """The unique alpha with g(v) = v + x_l(v) alpha; None for the identity.
+def root_vector(g):
+    """The unique alpha with g(v) = v + x_n(v) alpha; None for the identity.
 
-    Requires g to fix ker(x_l) pointwise.  g is a transvection exactly when
-    alpha is a nonzero vector of the hyperplane.
+    Requires g to fix the hyperplane ker(x_n) pointwise.  g is a transvection
+    exactly when alpha is a nonzero vector of the hyperplane.
     """
-    n = g.rows
-    col = (n if l is None else l) - 1
-    field = g.field
+    n, field = g.rows, g.field
     for i in range(n):
-        for j in range(n):
-            if j == col:
-                continue
+        for j in range(n - 1):
             d = g.entry(i, j) - (field.one() if i == j else field.zero())
             if d:
                 raise ValueError("element does not fix the hyperplane pointwise")
-    alpha = tuple(g.entry(i, col) - (field.one() if i == col else field.zero())
+    alpha = tuple(g.entry(i, n - 1) - (field.one() if i == n - 1 else field.zero())
                   for i in range(n))
     if not any(alpha):
         return None
     return alpha
 
 
-def is_transvection(g, l=None):
-    alpha = root_vector(g, l)
-    n = g.rows
-    col = (n if l is None else l) - 1
-    return alpha is not None and not alpha[col]
+def is_transvection(g):
+    alpha = root_vector(g)
+    return alpha is not None and not alpha[-1]
 
 
-def transvection_rootspace_dim(elements, l=None):
+def transvection_rootspace_dim(elements):
     """F_p-dimension of the span of transvection roots inside the hyperplane."""
-    rows = []
-    for g in elements:
-        alpha = root_vector(g, l)
-        if alpha is None:
-            continue
-        n = g.rows
-        col = (n if l is None else l) - 1
-        if alpha[col]:
-            continue  # semisimple: root leaves the hyperplane
-        rows.append([c for coord in alpha for c in coord.coeffs])
+    roots = [root_vector(g) for g in elements]
+    # a semisimple element's root leaves the hyperplane
+    rows = [[c for coord in alpha for c in coord.coeffs]
+            for alpha in roots if alpha is not None and not alpha[-1]]
     if not rows:
         return 0
     return rank_codes(rows, make_field(elements[0].field.p))

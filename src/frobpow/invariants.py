@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, MatrixFq, _code_dtype, _segments, \
-    check_budget, check_cap, check_table_budget, code_arithmetic, discrete_logs, \
-    factor_prime_power, make_field
+    check_budget, check_cap, check_power_cap, check_table_budget, code_arithmetic, \
+    discrete_logs, factor_prime_power, make_field
 from .group import GroupSpec, build_group, full_gl_generators
 
 SPAIR_CAP = 10 ** 4  # S-pairs of the h-generators a Groebner check may reduce
@@ -405,9 +405,8 @@ def _fixed_space(gens, field, n, Q, want_basis=False):
 
 @functools.lru_cache(maxsize=None)
 def _brute_dims(spec, m, cap):
-    Q = spec.q ** m
-    check_cap(Q ** spec.n, cap, "quotient", "monomials")
-    return tuple(_fixed_space(build_group(spec), spec.field, spec.n, Q)[0])
+    check_power_cap(spec.q, m * spec.n, cap, "quotient", "monomials")
+    return tuple(_fixed_space(build_group(spec), spec.field, spec.n, spec.q ** m)[0])
 
 
 def brute_force_hilbert(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
@@ -419,8 +418,9 @@ def brute_force_hilbert(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
 
 def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree bases of the GL_n(F_q)-fixed space of S/m^[q^m] (tiny scale)."""
-    field, Q = make_field(*factor_prime_power(q)), q ** m
-    check_cap(Q ** n, max_monomials, "quotient", "monomials")
+    field = make_field(*factor_prime_power(q))
+    check_power_cap(q, m * n, max_monomials, "quotient", "monomials")
+    Q = q ** m
     gens = full_gl_generators(field, n)
     if not gens:
         gens = [MatrixFq.identity(field, n)]
@@ -516,8 +516,9 @@ def _ab_ranks(spec, m, cap):
     """
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
-    n, Q = spec.n, spec.q ** m
-    check_cap(Q ** n, cap, "quotient", "monomials")
+    n = spec.n
+    check_power_cap(spec.q, m * n, cap, "quotient", "monomials")
+    Q = spec.q ** m
     exps = _monomial_table(n, Q)
     top = n * (Q - 1)
     b_exps = exps[Q - 1::Q]  # the monomials with x_n^(Q-1)

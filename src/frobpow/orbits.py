@@ -27,7 +27,8 @@ import dataclasses
 
 import numpy as np
 
-from .ff import DEFAULT_POINT_CAP, check_budget, check_cap, code_arithmetic, embed, make_field
+from .ff import DEFAULT_POINT_CAP, check_budget, check_power_cap, code_arithmetic, embed, \
+    make_field
 from .group import build_group
 
 
@@ -134,9 +135,8 @@ def _points(p, r, n, m, max_points):
     cap, and its field, which is built only once the cap has passed."""
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
-    total = p ** (r * m * n)
-    check_cap(total, max_points, "orbit enumeration", "points")
-    return total, make_field(p, r * m)
+    check_power_cap(p, r * m * n, max_points, "orbit enumeration", "points")
+    return p ** (r * m * n), make_field(p, r * m)
 
 
 def count_orbits_enum(spec, m, max_points=DEFAULT_POINT_CAP):

@@ -1,7 +1,9 @@
 """Exit codes, output formats, and manifest replay for the command line."""
 
+import concurrent.futures
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from frobpow import cli, ff, invariants
-from frobpow.cli import _expand_manifest, _sweep_group, _sweep_job, main
+from frobpow.cli import _expand_manifest, _spec_tag, _sweep_group, _sweep_job, main
+from frobpow.group import GroupSpec
 
 
 def whole_json(data):
@@ -188,6 +191,18 @@ class TestHilbert:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and "--truncate" in err
+
+    @pytest.mark.parametrize("omitted,given", [
+        ([], ["--ell", "2", "--e", "4"]),
+        (["--full-stabilizer"], ["--full-stabilizer", "--ell", "2"])], ids=["plain", "stab"])
+    def test_omitted_ell_and_e_take_the_largest_family(self, capsys, omitted, given):
+        argv = ["hilbert", "--p", "5", "--n", "3", "--m", "1"]
+        assert main(argv + omitted) == 0
+        out, err = capsys.readouterr()
+        spec = json.loads(out)["spec"]
+        assert err == "" and (spec["ell"], spec["e"]) == (2, 4)
+        assert main(argv + given) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_full_stabilizer_agreeing_flags_change_nothing(self, capsys):
         argv = ["hilbert", "--p", "5", "--n", "3", "--m", "1", "--full-stabilizer"]
@@ -422,6 +437,26 @@ class TestHugeFields:
         assert err.count("\n") == 1 and message in err
 
 
+class TestHugeFrobeniusPower:
+    # a count far past its cap is refused from its logarithm: 3^(2 * 10^7)
+    # alone takes seconds to build
+    @pytest.mark.parametrize("argv,need", [
+        (["orbits", "--p", "3", "--n", "2"], "orbit enumeration needs about 2^31699250 points"),
+        (["hilbert", "--p", "3", "--n", "2"], "quotient needs about 2^31699250 monomials"),
+        (["decompose", "--p", "3", "--n", "2"], "quotient needs about 2^31699250 monomials"),
+        (["hilbert", "--mode", "formula", "--p", "3", "--n", "2"],
+         "the series needs about 2^15849626 coefficients"),
+        (["conjecture", "--q", "3", "--n", "2"], "the series needs about 2^15849626 coefficients"),
+        (["resolution2d", "--p", "3", "--e", "2"],
+         "the series needs about 2^15849626 coefficients"),
+    ], ids=["orbits", "hilbert", "decompose", "hilbert-formula", "conjecture", "resolution2d"])
+    def test_cap_fires_quickly(self, capsys, argv, need):
+        start = time.perf_counter()
+        assert main(argv + ["--m", "10000000"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"{need}, above the cap of 1000000\n")
+
+
 class TestTruncateCap:
     # a truncation degree lists truncate + 1 coefficients, under the series cap
     @pytest.mark.parametrize("argv", [
@@ -620,6 +655,11 @@ class TestConjecture:
         code = main(["conjecture", "--q", "6", "--n", "1", "--m", "1"])
         assert code == 2
 
+    def test_no_variables_exits_2_at_any_m(self, capsys):
+        # n(q^m - 1) + 1 is 1 for n = 0, within the cap
+        assert main(["conjecture", "--q", "2", "--n", "0", "--m", "100"]) == 2
+        assert capsys.readouterr().err == "need n >= 1 and m >= 1\n"
+
     def test_series_length_cap_exits_3(self, capsys):
         # 3 (2^25 - 1) + 1 coefficients: capped before the series is built
         code = main(["conjecture", "--q", "2", "--n", "3", "--m", "25",
@@ -650,14 +690,15 @@ DYING_GRID = {"p": [2, 3, 5], "n": [2], "m": [1], "ell": [1], "e": [1]}
 DYING_TAGS = ("p2n2l1e1", "p3n2l1e1", "p5n2l1e1")
 
 
-def _exit_in_last_group(batch):
+def _exit_in_last_group(batch, caps):
     """Stands in for cli._sweep_group in forked pool workers.
 
     The worker given the last group exits abruptly, but only once the job
     files of the groups before it are on disk, so those groups have finished.
     """
-    if batch[0]["spec"]["p"] != 5:
-        return _sweep_group(batch)
+    _, _, _, spec = batch[0]
+    if spec.p != 5:
+        return _sweep_group(batch, caps)
     earlier = [Path("out", f"{cmd}_{tag}_m1.json")
                for tag in DYING_TAGS[:-1] for cmd in ("hilbert", "orbits")]
     deadline = time.monotonic() + 60
@@ -939,12 +980,57 @@ class TestSweep:
         manifest = json.loads(write_manifest(
             tmp_path, grid={"p": [3], "n": [2], "m": [1, 2], "ell": [0], "e": [2]},
             commands=["orbits", "gbcheck", "hilbert"]).read_text())
-        batch, _ = _expand_manifest(manifest)
+        batch, caps, _ = _expand_manifest(manifest)
         assert len(batch) == 6
-        results = _sweep_group(batch)
-        assert results == [(_sweep_job(job)["status"], whole_json(_sweep_job(job)))
+        results = _sweep_group(batch, caps)
+        assert results == [(_sweep_job(job, caps)["status"], whole_json(_sweep_job(job, caps)))
                            for job in batch]
         assert {status for status, _ in results} == {"ok", "skip"}
+
+    def test_jobs_carry_their_spec_and_tag(self, tmp_path):
+        # a full-stabilizer grid point ignores the ell and e axes: one job each
+        manifest = json.loads(write_manifest(
+            tmp_path, grid={"p": [2, 3], "r": [1, 2], "n": [2], "ell": [0, 1], "e": [1, 3],
+                            "full_stabilizer": [False, True]},
+            caps={"max_points": 7}).read_text())
+        jobs, caps, skipped = _expand_manifest(manifest)
+        assert caps == {"max_monomials": 1000000, "max_points": 7}
+        assert jobs == sorted(jobs) and len(set(jobs)) == len(jobs)
+        specs = {spec for _, _, _, spec in jobs}
+        assert all(isinstance(spec, GroupSpec) for spec in specs)
+        assert sum(spec.full_stabilizer for spec in specs) == 4
+        assert (len(specs), len(jobs), skipped) == (11, 22, 9)
+        assert all(tag == _spec_tag(spec) for _, tag, _, spec in jobs)
+        assert pickle.loads(pickle.dumps(jobs)) == jobs
+
+    def test_pool_gets_at_most_one_worker_per_group(self, tmp_path, capsys, monkeypatch):
+        # a stand-in pool that runs in this process records what it is asked for
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        outputs = []
+        for p, jobs in (([2, 3], "1"), ([2, 3], "4096"), ([2], "4096")):
+            outdir = tmp_path / f"out{len(p)}-{jobs}"
+            manifest = write_manifest(tmp_path, grid={"p": p, "n": [2], "m": [1], "ell": [1],
+                                                      "e": [1]}, output_dir=str(outdir))
+            assert main(["sweep", "--manifest", str(manifest), "--jobs", jobs]) == 0
+            files = {f.name: f.read_bytes() for f in outdir.iterdir()}
+            outputs.append((capsys.readouterr(), files))
+        assert asked == [2]  # two groups; one group runs in this process
+        assert outputs[1] == outputs[0]
+        assert len(outputs[0][1]) == 4 and len(outputs[2][1]) == 2
 
     def test_dead_worker_exits_3_and_keeps_finished_groups(
             self, tmp_path, capsys, monkeypatch):

@@ -29,6 +29,7 @@ from frobpow.ff import (
     _tables,
     binom_mod_p,
     check_cap,
+    check_power_cap,
     code_arithmetic,
     embed,
     factor_prime_power,
@@ -1051,6 +1052,30 @@ def test_cap_messages_print_huge_counts_as_powers_of_two():
         check_cap(10 ** 20 + 1, 10 ** 20, "s", "u")
     with pytest.raises(CapExceeded, match=r"^s needs about 2\^40000 u, above the cap of 1$"):
         check_cap(2 ** 40000, 1, "s", "u")  # past Python's 4300-digit str limit
+
+
+def test_power_cap_refuses_like_check_cap_on_the_built_count():
+    # both sides of the shortcut, near and far past the cap and 10^20
+    for base, scale, shift, cap in itertools.product(
+            (2, 3, 4, 7, 101, 2 ** 61 - 1), (-1, 0, 1, 2, 3), (0, 1, -2, 5),
+            (1, 10 ** 6, 2 ** 90)):
+        for bits in range(0, 400, 3):
+            exp = max(1, round(bits / math.log2(base)))
+            try:
+                check_cap(scale * base ** exp + shift, cap, "s", "u")
+                want = None
+            except CapExceeded as exc:
+                want = str(exc)
+            try:
+                check_power_cap(base, exp, cap, "s", "u", scale, shift)
+                got = None
+            except CapExceeded as exc:
+                got = str(exc)
+            assert got == want, (base, exp, scale, shift, cap)
+    with pytest.raises(CapExceeded, match=r"^s needs about 2\^31699251 u, above the cap of 10$"):
+        check_power_cap(3, 2 * 10 ** 7, 10, "s", "u", 2, -1)  # never built
+    with pytest.raises(CapExceeded, match=r"^s needs about 2\^158496250072115\d{386} u, "):
+        check_power_cap(3, 10 ** 400, 10, "s", "u")  # an exponent past a float's range
 
 
 def _reference_tables(field):

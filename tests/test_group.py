@@ -6,6 +6,7 @@ five-element-field archetype and the GF(4) and GF(9) stabilizers.
 """
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -44,8 +45,7 @@ def test_spec_validation():
         GroupSpec(p=5, n=2, ell=2, e=1)
     with pytest.raises(ValueError, match="divide q - 1 = 4"):
         GroupSpec(p=5, n=2, ell=1, e=3)
-    with pytest.raises(ValueError, match="required"):
-        GroupSpec(p=5, n=2)
+    assert GroupSpec(p=5, n=3) == GroupSpec(p=5, n=3, ell=2, e=4)  # the largest family
     with pytest.raises(ValueError, match="prime field"):
         GroupSpec(p=2, r=2, n=2, ell=1, e=1)
     with pytest.raises(ValueError, match="forces ell"):
@@ -58,15 +58,12 @@ def test_spec_validation():
 
 
 def test_spec_json_roundtrip():
-    spec = ARCHETYPE
-    data = spec.to_json()
-    assert data == {"p": 5, "r": 1, "n": 3, "ell": 2, "e": 4, "full_stabilizer": False}
-    assert GroupSpec.from_json(data) == spec
-    assert GroupSpec.from_json({"p": 2, "n": 2, "ell": 1, "e": 1}).r == 1
-    with pytest.raises(ValueError, match="unknown"):
-        GroupSpec.from_json({"p": 2, "n": 2, "ell": 1, "e": 1, "extra": 0})
-    with pytest.raises(ValueError, match="at least p and n"):
-        GroupSpec.from_json({"n": 2})
+    # sweep jobs carry specs to their workers by pickle, and print them by to_json
+    assert ARCHETYPE.to_json() == {
+        "p": 5, "r": 1, "n": 3, "ell": 2, "e": 4, "full_stabilizer": False}
+    for spec in (ARCHETYPE, GroupSpec(p=2, r=2, n=2, full_stabilizer=True)):
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.to_json() == spec.to_json()
 
 
 # -- generators -------------------------------------------------------------
