@@ -15,9 +15,10 @@ The sweep subcommand replays a JSON manifest: a parameter grid, a list of
 subcommand names, an output directory, and enumeration caps.  A job file is
 the single-command JSON plus "command" and "status".  hilbert jobs run as
 ``--mode both``, or as ``--mode brute`` where no closed form exists; gbcheck
-jobs outside the h-generator range (ell < n - 1) have status "skip", jobs
-stopped by a cap "cap".  Identical manifests produce byte-identical outputs;
-grid points violating the group constraints are skipped and counted.
+jobs outside the h-generator range (ell < n - 1, read off the spec) have
+status "skip", jobs stopped by a cap "cap"; any other error stops the sweep.
+Identical manifests produce byte-identical outputs; grid points violating
+the group constraints are skipped and counted.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ atexit.register(gc.freeze)
 from .ff import DEFAULT_MONOMIAL_CAP, DEFAULT_POINT_CAP, CapExceeded, check_cap, \
     check_power_cap, factor_prime_power
 from .group import GroupSpec
-from .invariants import brute_force_hilbert, full_gl_fixed_basis, h_generators, \
-    verify_decomposition
+from .invariants import H_GENERATOR_RANGE, brute_force_hilbert, full_gl_fixed_basis, \
+    h_generators, verify_decomposition
 
 SWEEP_COMMANDS = ("hilbert", "gbcheck", "decompose", "orbits")
 EXIT_CODES = {"ok": 0, "fail": 1}
@@ -431,11 +432,11 @@ def _sweep_job(job, caps):
         if command == "hilbert":
             mode = "both" if has_closed_form(spec) else "brute"
             payload, status = run_hilbert(spec, m, mode, caps["max_monomials"])
+        elif command == "gbcheck" and spec.ell != spec.n - 1:
+            payload = {"spec": spec.to_json(), "m": m, "skipped": H_GENERATOR_RANGE}
+            status = "skip"
         elif command == "gbcheck":
-            try:
-                payload, status = run_gbcheck(spec, m)
-            except ValueError as exc:
-                payload, status = {"spec": spec.to_json(), "m": m, "skipped": str(exc)}, "skip"
+            payload, status = run_gbcheck(spec, m)
         elif command == "decompose":
             payload, status = run_decompose(spec, m, caps["max_monomials"])
         else:

@@ -88,7 +88,7 @@ def check_power_cap(base, exp, cap, subject, unit, scale=1, shift=0):
         from fractions import Fraction  # only a refusal loads it
 
         bits = Fraction(exp * num, den) + Fraction(math.log2(scale))
-        raise _over_cap(f"about 2^{round(bits)}", cap, subject, unit)
+        raise _over_cap(f"about 2^{count_str(round(bits))}", cap, subject, unit)
     check_cap(scale * base ** exp + shift, cap, subject, unit)
 
 

@@ -44,7 +44,7 @@ def subduct(f, basics):
 
 def leading_monomials(hgens):
     """Leading f-exponents of each h-generator under the weighted order."""
-    return [leading_monomial(hf)[0] for hf in hgens.f_polys()]
+    return [leading_monomial(hf)[0] for _, hf, _ in hgens.generators]
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,17 @@ def _complete_basis(hlist, max_basis=60):
 def buchberger_check(hgens, from_scratch=False):
     """S-pair reduction certificate that the h-list generates its own
     leading-term ideal; optionally re-runs a full completion as a second
-    oracle and confirms no new leading monomials appear."""
-    entries = hgens.as_list()
-    names = tuple(name for name, _, _ in entries)
-    hlist = [hf for _, hf, _ in entries]
+    oracle and confirms no new leading monomials appear.  The check passes
+    when every certificate's remainder is "0"."""
+    names, hlist, xlist = zip(*hgens.generators)
     leads = [leading_monomial(h) for h in hlist]
     Q = hgens.spec.q ** hgens.m
-    certificates = []
-    ok = True
-    for xpoly in hgens.x_polys():
-        if reduce_mod_frobenius(xpoly, Q).terms:
-            ok = False
-            certificates.append({"pair": None, "remainder": "membership failure"})
-    for i in range(len(hlist)):
-        for j in range(i + 1, len(hlist)):
-            s = _s_polynomial(hlist[i], hlist[j], leads[i], leads[j])
-            _, r = divide(s, hlist, leads)
-            certificates.append(
-                {"pair": [i, j], "remainder": "0" if not r.terms else poly_str(r)})
-            if r.terms:
-                ok = False
+    certificates = [{"pair": None, "remainder": "membership failure"}
+                    for xpoly in xlist if reduce_mod_frobenius(xpoly, Q).terms]
+    for i, j in itertools.combinations(range(len(hlist)), 2):
+        s = _s_polynomial(hlist[i], hlist[j], leads[i], leads[j])
+        _, r = divide(s, hlist, leads)
+        certificates.append({"pair": [i, j], "remainder": poly_str(r)})
     completed = None
     if from_scratch:
         basis = _complete_basis(hlist)
@@ -121,9 +112,9 @@ def buchberger_check(hgens, from_scratch=False):
         for extra in basis[len(hlist):]:
             lm = leading_monomial(extra)[0]
             if not any(all(a >= b for a, b in zip(lm, known)) for known in lms):
-                ok = False
                 certificates.append(
                     {"pair": None, "remainder": f"new leading monomial f^{lm}"})
+    ok = all(c["remainder"] == "0" for c in certificates)
     return BuchbergerReport(hgens.spec, hgens.m, names, tuple(certificates),
                             ok, completed)
 
@@ -244,16 +235,12 @@ def resolution_2d(p, m, e, ell=1):
         D = 2 * P + e
         a_series = hilbert_main_fp(p, 2, m, 0, e, D)
     else:
-        hg = h_generators(spec, m)
-        h0 = hg.h0[0]
-        h1 = hg.h1[0][1]
-        h2 = hg.h2[0][2]
-        hlist = [h0, h1, h2]
+        hlist = [hf for _, hf, _ in h_generators(spec, m).generators]
         s = p ** (m - 1)
         Pp = fring.zero()
         for j in range(m):
             Pp = Pp + E ** ((P - p ** (j + 1)) // e) * F ** (p ** j)
-        check(E * Pp == h1, "h_1 fails to factor through the partial sum")
+        check(E * Pp == hlist[1], "h_1 fails to factor through the partial sum")
         R = Pp - F ** s
         tau01 = SyzygyVector("tau_{0,1}", (-Pp, E ** ((P - 1) // e), fring.zero()))
         cross = fring.zero()

@@ -44,13 +44,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, MatrixFq, _code_dtype, _segments, \
+from .ff import DEFAULT_MONOMIAL_CAP, CodeEntries, _code_dtype, _segments, \
     check_budget, check_cap, check_power_cap, check_table_budget, code_arithmetic, \
     discrete_logs, factor_prime_power, make_field
 from .group import GroupSpec, build_group, full_gl_generators
 
 SPAIR_CAP = 10 ** 4  # S-pairs of the h-generators a Groebner check may reduce
 SPAIR_WORK_CAP = 10 ** 7  # S-pairs times m^4: dividing by the m-term h_{1,a} costs ~m^4
+H_GENERATOR_RANGE = "h-generators need ell = n - 1 or the full stabilizer"
 
 
 @dataclass(frozen=True)
@@ -108,27 +109,14 @@ class HGenerators:
     """h_0, h_{1,a}, h_{2,a,b} in f-coordinates and expanded x-coordinates.
 
     Construction validates the closed x-expansions and membership in the
-    Frobenius ideal.  List order is h_0, then h_{1,a} by a, then h_{2,a,b}
-    lexicographically; division-based reductions always use this order.
+    Frobenius ideal.  `generators` lists (name, f-poly, x-poly) in check
+    order: h_0, then h_{1,a} by a, then h_{2,a,b} lexicographically;
+    division-based reductions always use this order.
     """
 
     spec: GroupSpec
     m: int
-    h0: tuple            # (f-poly, x-poly)
-    h1: tuple            # ((a, f-poly, x-poly), ...) ascending a
-    h2: tuple            # ((a, b, f-poly, x-poly), ...) lex on (a, b)
-
-    def as_list(self):
-        out = [("h_0", *self.h0)]
-        out += [(f"h_{{1,{a}}}", ff, xx) for a, ff, xx in self.h1]
-        out += [(f"h_{{2,{a},{b}}}", ff, xx) for a, b, ff, xx in self.h2]
-        return out
-
-    def f_polys(self):
-        return [f for _, f, _ in self.as_list()]
-
-    def x_polys(self):
-        return [x for _, _, x in self.as_list()]
+    generators: tuple    # ((name, f-poly, x-poly), ...)
 
 
 def h_generators(spec, m):
@@ -143,7 +131,7 @@ def h_generators(spec, m):
     if m < 1:
         raise ValueError("Frobenius exponent m must be at least 1")
     if spec.ell != spec.n - 1:
-        raise ValueError("h-generators need ell = n - 1 or the full stabilizer")
+        raise ValueError(H_GENERATOR_RANGE)
     g = spec.n * (spec.n + 1) // 2
     pairs = g * (g - 1) // 2
     check_cap(pairs, SPAIR_CAP, "the S-pair check", "pairs")
@@ -169,8 +157,8 @@ def h_generators(spec, m):
     h0_x = expand(h0_f)
     assert h0_x == xs[n - 1] ** (P + e - 1)
     assert reduce_mod_frobenius(h0_x, P) == xring.zero()
+    generators = [("h_0", h0_f, h0_x)]
 
-    h1 = []
     for a in range(n - 1):
         acc = fring.zero()
         for k in range(m):
@@ -178,9 +166,8 @@ def h_generators(spec, m):
         hx = expand(acc)
         assert hx == xs[a] ** P * xs[n - 1] ** e - xs[a] * xs[n - 1] ** (P + e - 1)
         assert reduce_mod_frobenius(hx, P) == xring.zero()
-        h1.append((a + 1, acc, hx))
+        generators.append((f"h_{{1,{a + 1}}}", acc, hx))
 
-    h2 = []
     s = w ** (m - 1)
     gap = (w - 1) * s
     for a in range(n - 1):
@@ -193,8 +180,8 @@ def h_generators(spec, m):
                       + xs[a] ** s * xs[b] ** s * xs[n - 1] ** (2 * gap))
             assert hx == closed
             assert reduce_mod_frobenius(hx, P) == xring.zero()
-            h2.append((a + 1, b + 1, hf, hx))
-    return HGenerators(spec, m, (h0_f, h0_x), tuple(h1), tuple(h2))
+            generators.append((f"h_{{2,{a + 1},{b + 1}}}", hf, hx))
+    return HGenerators(spec, m, tuple(generators))
 
 
 @dataclass(frozen=True)
@@ -420,11 +407,7 @@ def full_gl_fixed_basis(q, n, m, max_monomials=DEFAULT_MONOMIAL_CAP):
     """Per-degree bases of the GL_n(F_q)-fixed space of S/m^[q^m] (tiny scale)."""
     field = make_field(*factor_prime_power(q))
     check_power_cap(q, m * n, max_monomials, "quotient", "monomials")
-    Q = q ** m
-    gens = full_gl_generators(field, n)
-    if not gens:
-        gens = [MatrixFq.identity(field, n)]
-    return _fixed_space(gens, field, n, Q, want_basis=True)[1]
+    return _fixed_space(full_gl_generators(field, n), field, n, q ** m, want_basis=True)[1]
 
 
 # -- the A/B decomposition --------------------------------------------------

@@ -99,7 +99,7 @@ def test_criterion_03_groebner_certificates():
     for spec, m in cases:
         hgens = h_generators(spec, m)  # closed x-forms re-derived inside
         Q = spec.q ** m
-        for name, _, xpoly in hgens.as_list():
+        for name, _, xpoly in hgens.generators:
             assert not reduce_mod_frobenius(xpoly, Q).terms, (spec, m, name)
         report = buchberger_check(hgens)
         assert report.ok, (spec, m, report.certificates)
@@ -517,8 +517,9 @@ def _groebner_workload():
     assert subduct(basics.ring.zero(), basics) == fring.zero()
     assert buchberger_check(hgens).ok
     # a doctored generator list must fail every certificate pass
-    broken = dataclasses.replace(
-        hgens, h0=(fring.variable(0) + fring.variable(1), basics.ring.one()))
+    broken = dataclasses.replace(hgens, generators=(
+        ("h_0", fring.variable(0) + fring.variable(1), basics.ring.one()),
+        *hgens.generators[1:]))
     verdict = buchberger_check(broken, from_scratch=True)
     assert not verdict.ok
     assert any(c["pair"] is None and c["remainder"] == "membership failure"

@@ -780,6 +780,19 @@ class TestSweep:
         assert by_spec == {"p2n2l0e1": "skip", "p2n2l1e1": "ok",
                            "p2n17l0e1": "skip", "p2n17l1e1": "skip", "p2n17l16e1": "cap"}
 
+    def test_gbcheck_past_the_code_range_stops_the_sweep(self, tmp_path, capsys):
+        # in the h-generator range, so the field's refusal is not a skip:
+        # the sweep exits 2 with the single command's line and writes no job
+        argv = ["--p", "3037000507", "--n", "2", "--m", "1"]
+        assert main(["gbcheck", *argv]) == 2
+        single = capsys.readouterr().err
+        assert single.startswith("GF(3037000507) is too large for int64 code arithmetic")
+        manifest = write_manifest(tmp_path, grid={"p": [3037000507], "n": [2], "m": [1]},
+                                  commands=["gbcheck"])
+        assert main(["sweep", "--manifest", str(manifest)]) == 2
+        assert capsys.readouterr() == ("", single)
+        assert not list((tmp_path / "out").iterdir())
+
     def test_cap_exits_3(self, tmp_path, capsys):
         manifest = write_manifest(
             tmp_path, caps={"max_monomials": 2, "max_points": 2})

@@ -24,6 +24,7 @@ MERSENNE_61 = str(2 ** 61 - 1)
 P_INT64 = "3037000507"
 TRUNCATE_HUGE = str(10 ** 12)
 M_HUGE = "20000"  # 2^20000 has 6021 digits
+N_HUGE = "1" + "0" * 2200  # as --n and --m: m * n, the exponent of 3^(mn), has 4401 digits
 REFUSAL_CHARS = 300
 
 # (id, argv, exit code)
@@ -92,6 +93,9 @@ CASES = [
     ("conjecture-m20000", ["conjecture", "--q", "2", "--n", "2", "--m", M_HUGE], 3),
     ("resolution2d-m20000", ["resolution2d", "--p", "2", "--m", M_HUGE, "--e", "1"], 3),
     ("gbcheck-m1000", ["gbcheck", "--p", "2", "--n", "2", "--m", "1000"], 3),
+    # an exponent itself past the 4300-digit limit, printed as "about 2^about 2^k"
+    *[(f"{command}-n10^2200-m10^2200", [command, "--p", "3", "--n", N_HUGE, "--m", N_HUGE], 3)
+      for command in ("orbits", "hilbert", "decompose")],
 ]
 
 # one group, p = 3037000493, n = 2, e = 2: gbcheck passes, the rest reach caps

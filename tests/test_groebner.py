@@ -90,7 +90,7 @@ class TestSubduct:
     def test_h_generator_round_trip(self):
         b = basic_invariants(ARCHETYPE)
         for m in (1, 2):
-            for name, hf, hx in h_generators(ARCHETYPE, m).as_list():
+            for name, hf, hx in h_generators(ARCHETYPE, m).generators:
                 assert subduct(hx, b) == hf, name
 
 
@@ -121,7 +121,7 @@ class TestBuchberger:
     def test_coprime_leading_pair(self):
         # disjoint leading monomials: the cross pair of the two pure squares
         hg = h_generators(GroupSpec(p=3, n=3, ell=2, e=1), 1)
-        entries = hg.as_list()
+        entries = hg.generators
         names = [name for name, _, _ in entries]
         i = names.index("h_{2,1,1}")
         j = names.index("h_{2,2,2}")
@@ -159,7 +159,7 @@ class TestBuchberger:
         b = basic_invariants(spec)
         fring = b.f_ring()
         hg = h_generators(spec, m)
-        hlist = hg.f_polys()
+        hlist = [hf for _, hf, _ in hg.generators]
         Q = spec.p ** m
         rng = random.Random(spec.p * 100 + m)
         lms = leading_monomials(hg)
@@ -234,7 +234,7 @@ class TestResolution2D:
     def test_syzygies_annihilate(self):
         r = resolution_2d(3, 3, 2)
         hg = h_generators(GroupSpec(p=3, n=2, ell=1, e=2), 3)
-        hlist = [hg.h0[0], hg.h1[0][1], hg.h2[0][2]]
+        hlist = [hf for _, hf, _ in hg.generators]
         names = [s.name for s in r.syzygies]
         assert names == ["tau_{0,1}", "tau_{1,2}", "tau_{0,2}"]
         for tau in r.syzygies:

@@ -103,10 +103,10 @@ class TestBasicInvariants:
 class TestHGenerators:
     def test_archetype_m1_list(self):
         h = h_generators(ARCHETYPE, 1)
-        names = [name for name, _, _ in h.as_list()]
+        names = [name for name, _, _ in h.generators]
         assert names == ["h_0", "h_{1,1}", "h_{1,2}",
                          "h_{2,1,1}", "h_{2,1,2}", "h_{2,2,2}"]
-        got = {name: (poly_str(ff), poly_str(xx)) for name, ff, xx in h.as_list()}
+        got = {name: (poly_str(ff), poly_str(xx)) for name, ff, xx in h.generators}
         assert got["h_0"] == ("1*f3^2", "1*x3^8")
         assert got["h_{1,1}"] == ("1*f1*f3", "1*x1^5*x3^4 + 4*x1*x3^8")
         assert got["h_{2,1,2}"] == (
@@ -114,12 +114,11 @@ class TestHGenerators:
             "1*x1^5*x2^5 + 4*x1^5*x2*x3^4 + 4*x1*x2^5*x3^4 + 1*x1*x2*x3^8")
 
     def test_archetype_m2_closed_forms(self):
-        h = h_generators(ARCHETYPE, 2)
+        xs = {name: xx for name, _, xx in h_generators(ARCHETYPE, 2).generators}
         ring = basic_invariants(ARCHETYPE).ring
         x1, x3 = ring.variable(0), ring.variable(2)
-        assert h.h0[1] == x3 ** (25 + 3)
-        a1 = h.h1[0]
-        assert a1[2] == x1 ** 25 * x3 ** 4 - x1 * x3 ** 28
+        assert xs["h_0"] == x3 ** (25 + 3)
+        assert xs["h_{1,1}"] == x1 ** 25 * x3 ** 4 - x1 * x3 ** 28
 
     @pytest.mark.parametrize("spec,m", [
         (GroupSpec(p=2, n=2, ell=1, e=1), 3),
@@ -134,10 +133,10 @@ class TestHGenerators:
         # on top of that every expansion must be fixed by the group action
         h = h_generators(spec, m)
         Q = spec.q ** m
-        for xpoly in h.x_polys():
+        for _, _, xpoly in h.generators:
             assert reduce_mod_frobenius(xpoly, Q) == xpoly.ring.zero()
         for g in build_group(spec):
-            for xpoly in h.x_polys():
+            for _, _, xpoly in h.generators:
                 assert act(g, xpoly) == xpoly
 
     def test_rejects_partial_rootspace(self):
@@ -148,12 +147,12 @@ class TestHGenerators:
 
     def test_full_stabilizer_uses_q(self):
         spec = GroupSpec(p=2, r=2, n=2, full_stabilizer=True)
-        h = h_generators(spec, 1)
+        xs = {name: xx for name, _, xx in h_generators(spec, 1).generators}
         ring = basic_invariants(spec).ring
         x1, x2 = ring.variable(0), ring.variable(1)
-        assert h.h0[1] == x2 ** (4 + 2)
-        assert h.h1[0][2] == x1 ** 4 * x2 ** 3 - x1 * x2 ** 6
-        assert h.h2[0][3] == x1 ** 8 - 2 * x1 ** 4 * x2 ** 3 + x1 ** 2 * x2 ** 6
+        assert xs["h_0"] == x2 ** (4 + 2)
+        assert xs["h_{1,1}"] == x1 ** 4 * x2 ** 3 - x1 * x2 ** 6
+        assert xs["h_{2,1,1}"] == x1 ** 8 - 2 * x1 ** 4 * x2 ** 3 + x1 ** 2 * x2 ** 6
 
 
 class TestBruteForce:

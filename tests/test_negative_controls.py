@@ -132,10 +132,10 @@ def test_gbcheck_h_generator_coefficient(monkeypatch, capsys):
     # a wrong coefficient in the closed form of h_{1,1}, expanded as
     # h_generators expands it: its x-polynomial leaves the Frobenius ideal
     def doctor(hg):
-        (a, f_poly, _), = hg.h1
+        h0, (name, f_poly, _), h2 = hg.generators
         f_poly = f_poly + f_poly.ring.monomial(max(f_poly.terms))
         x_poly = invariants.expand_f(f_poly, invariants.basic_invariants(hg.spec))
-        return dataclasses.replace(hg, h1=((a, f_poly, x_poly),))
+        return dataclasses.replace(hg, generators=(h0, (name, f_poly, x_poly), h2))
 
     monkeypatch.setattr(cli, "h_generators", faulted(cli.h_generators, doctor))
     data = assert_refuted(capsys, GB, 1, "ok")
@@ -146,8 +146,9 @@ def test_gbcheck_spair_side(monkeypatch, capsys):
     # h_0 gains the tail f_1 in f-coordinates only, so membership still holds
     # and only the S-pair reductions can see it
     def doctor(hg):
-        f_poly, x_poly = hg.h0
-        return dataclasses.replace(hg, h0=(f_poly + f_poly.ring.variable(0), x_poly))
+        (name, f_poly, x_poly), *rest = hg.generators
+        return dataclasses.replace(
+            hg, generators=((name, f_poly + f_poly.ring.variable(0), x_poly), *rest))
 
     monkeypatch.setattr(cli, "h_generators", faulted(cli.h_generators, doctor))
     data = assert_refuted(capsys, GB, 1, "ok")
@@ -165,6 +166,53 @@ def test_gbcheck_completion_side(monkeypatch, capsys):
     assert data["certificates"][-1] == {"pair": None, "remainder": "new leading monomial f^(1, 0)"}
 
 
+GBCHECK_SKIP = """\
+{
+  "command": "gbcheck",
+  "m": 1,
+  "skipped": "h-generators need ell = n - 1 or the full stabilizer",
+  "spec": {
+    "e": 2,
+    "ell": 0,
+    "full_stabilizer": false,
+    "n": 2,
+    "p": 3,
+    "r": 1
+  },
+  "status": "skip"
+}
+"""
+
+
+def sweep_gbcheck(path, grid):
+    """The exit code of a one-worker gbcheck sweep of grid run in the new
+    directory path, and its job files' texts."""
+    path.mkdir()
+    out = path / "out"
+    manifest = path / "manifest.json"
+    manifest.write_text(json.dumps({"grid": grid, "commands": ["gbcheck"],
+                                    "output_dir": str(out)}))
+    code = cli.main(["sweep", "--manifest", str(manifest), "--jobs", "1"])
+    return code, [path.read_text() for path in sorted(out.glob("*.json"))]
+
+
+def test_sweep_gbcheck_error_is_not_a_skip(monkeypatch, tmp_path, capsys):
+    # an error inside an in-range job stops the sweep as it stops the single
+    # command; only ell < n - 1 is a skip, and that is read off the spec
+    def lost_lead(*args, **kwargs):
+        raise ValueError("LM of zero")
+
+    monkeypatch.setattr(groebner, "divide", lost_lead)
+    assert cli.main(["gbcheck", "--p", "3", "--n", "2", "--m", "1"]) == 2
+    assert capsys.readouterr().err == "LM of zero\n"
+    code, files = sweep_gbcheck(tmp_path / "in", {"p": [3], "n": [2], "m": [1]})
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "LM of zero\n")
+    assert not any('"skip"' in text for text in files)
+    code, files = sweep_gbcheck(tmp_path / "out", {"p": [3], "n": [2], "m": [1], "ell": [0]})
+    assert (code, files) == (0, [GBCHECK_SKIP])
+
+
 # -- resolution2d: syzygies and the resolution's series ---------------------
 
 RES = ["resolution2d", "--p", "3", "--m", "2", "--e", "2"]
@@ -177,8 +225,8 @@ def test_resolution2d_series_side(monkeypatch, capsys):
 
 def test_resolution2d_generator_side(monkeypatch, capsys):
     def doctor(hg):
-        (a, f_poly, x_poly), *rest = hg.h1
-        return dataclasses.replace(hg, h1=((a, f_poly * 2, x_poly), *rest))
+        h0, (name, f_poly, x_poly), *rest = hg.generators
+        return dataclasses.replace(hg, generators=(h0, (name, f_poly * 2, x_poly), *rest))
 
     monkeypatch.setattr(groebner, "h_generators", faulted(groebner.h_generators, doctor))
     assert_refuted(capsys, RES, 1, "ok")
