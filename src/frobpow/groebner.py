@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .ff import DEFAULT_MONOMIAL_CAP, CapExceeded, check_power_cap
 from .group import GroupSpec
-from .invariants import basic_invariants, expand_f, h_generators
+from .invariants import COMPLETION_CAP, basic_invariants, expand_f, h_generators
 from .poly import divide, leading_monomial, poly_str, reduce_mod_frobenius
 from .qseries import RationalExpr, expand, hilbert_A, hilbert_main_fp
 
@@ -73,7 +73,7 @@ def _s_polynomial(fi, fj, lead_i, lead_j):
     return ui * fi - uj * fj
 
 
-def _complete_basis(hlist, max_basis=60):
+def _complete_basis(hlist):
     basis = list(hlist)
     leads = [leading_monomial(b) for b in basis]
     queue = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -84,7 +84,7 @@ def _complete_basis(hlist, max_basis=60):
         if r.terms:
             basis.append(r)
             leads.append(leading_monomial(r))
-            if len(basis) > max_basis:
+            if len(basis) > COMPLETION_CAP:
                 raise CapExceeded("completion exceeded the basis cap")
             queue += [(i, len(basis) - 1) for i in range(len(basis) - 1)]
     return basis

@@ -162,11 +162,6 @@ def root_vector(g):
     return alpha
 
 
-def is_transvection(g):
-    alpha = root_vector(g)
-    return alpha is not None and not alpha[-1]
-
-
 def transvection_rootspace_dim(elements):
     """F_p-dimension of the span of transvection roots inside the hyperplane."""
     roots = [root_vector(g) for g in elements]

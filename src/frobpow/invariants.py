@@ -51,6 +51,7 @@ from .group import GroupSpec, build_group, full_gl_generators
 
 SPAIR_CAP = 10 ** 4  # S-pairs of the h-generators a Groebner check may reduce
 SPAIR_WORK_CAP = 10 ** 7  # S-pairs times m^4: dividing by the m-term h_{1,a} costs ~m^4
+COMPLETION_CAP = 60  # basis size a from-scratch completion (gbcheck --from-scratch) may reach
 H_GENERATOR_RANGE = "h-generators need ell = n - 1 or the full stabilizer"
 
 
@@ -516,16 +517,6 @@ def _ab_ranks(spec, m, cap):
     ranks = np.bincount(in_b * (top + 1) + exps[code].sum(axis=1), minlength=2 * (top + 1))
     off_b, on_b = ranks.reshape(2, top + 1)
     return list(zip((off_b + on_b).tolist(), b.tolist(), (off_b + b).tolist()))
-
-
-def a_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
-    """Per-degree dimension of the image of the invariant ring in S/m^[q^m]."""
-    return HilbertFunction(tuple(a for a, _, _ in _ab_ranks(spec, m, max_monomials)))
-
-
-def b_space_dims(spec, m, max_monomials=DEFAULT_MONOMIAL_CAP):
-    """Per-degree dimension of the complement module spanned over f_1..f_{n-1}."""
-    return HilbertFunction(tuple(b for _, b, _ in _ab_ranks(spec, m, max_monomials)))
 
 
 @dataclass(frozen=True)

@@ -174,35 +174,11 @@ def _qt_poly(m, k, q, a=(1,)):
                   [q ** k - q ** i for i in range(k)])
 
 
-def qt_binomial(m, k, q, D):
-    """(q,t)-analogue prod_{i<k} (1-t^{q^m-q^i})/(1-t^{q^k-q^i}), truncated.
-
-    The quotient is an honest polynomial (asserted during the exact
-    division); k outside [0, m] gives the zero series, matching the
-    Gaussian-binomial convention.
-    """
-    if m < 0 or q < 2 or D < 0:
-        raise ValueError("need m >= 0, q >= 2, and a nonnegative bound")
-    form = f"prod_(i<{k}) (1-t^({q}^{m}-{q}^i))/(1-t^({q}^{k}-{q}^i))"
-    if k < 0 or k > m:
-        return TruncatedSeries(_trim([0], D), closed_form=form)
-    poly = _qt_poly(m, k, q)
-    s = TruncatedSeries(_trim(poly, D), closed_form=form)
-    assert all(c >= 0 for c in s.coeffs)
-    return s
-
-
 # -- closed-form Hilbert series ----------------------------------------------
 
 def hilbert_main_fp(p, n, m, ell, e, D=None):
     """Fixed-space Hilbert series for a transvection family over F_p."""
     return hilbert_for_spec(GroupSpec(p=p, n=n, ell=ell, e=e), m, D)
-
-
-def hilbert_stabilizer_fq(q, n, m, D=None):
-    """Fixed-space Hilbert series for the full hyperplane stabilizer in GL_n(F_q)."""
-    p, r = factor_prime_power(q)
-    return hilbert_for_spec(GroupSpec(p=p, r=r, n=n, full_stabilizer=True), m, D)
 
 
 def hilbert_A(w, n, m, e, D=None):

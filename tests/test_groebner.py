@@ -140,14 +140,15 @@ class TestBuchberger:
         assert rep.ok
         assert rep.completed_size == len(rep.names)
 
-    def test_completion_past_its_cap_is_a_cap(self):
+    def test_completion_past_its_cap_is_a_cap(self, monkeypatch):
         # not a Groebner basis: its one S-pair leaves a remainder, the third element
         fring = basic_invariants(GroupSpec(p=3, n=2, ell=1, e=2)).f_ring()
         F, E = fring.variable(0), fring.variable(1)
         hlist = [F ** 2 + E, F * E + 1]
         assert len(_complete_basis(hlist)) == 3
+        monkeypatch.setattr(groebner, "COMPLETION_CAP", 2)  # the binding groebner reads
         with pytest.raises(CapExceeded, match="completion exceeded the basis cap"):
-            _complete_basis(hlist, max_basis=2)
+            _complete_basis(hlist)
 
     @pytest.mark.parametrize("spec,m", [
         (GroupSpec(p=2, n=2, ell=1, e=1), 2),

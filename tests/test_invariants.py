@@ -15,7 +15,7 @@ from frobpow.ff import CapExceeded, MatrixFq, binom_mod_p, factor_prime_power, m
 from frobpow.group import (
     GroupSpec, act, build_group, full_gl_generators, group_elements)
 from frobpow.invariants import (
-    a_space_dims, b_space_dims, basic_invariants, brute_force_hilbert,
+    basic_invariants, brute_force_hilbert,
     check_exponent_bound, expand_f, full_gl_fixed_basis, h_generators,
     verify_decomposition, _a_terms, _b_mask, _binomial_pairs, _codes,
     _fixed_by_diagonals, _monomial_table, _split_generators, _transvection_terms)
@@ -205,18 +205,19 @@ class TestBruteForce:
 
 
 class TestDecomposition:
+    # a row is (degree, dim A, dim B, A + B, brute)
     def test_a_deg0_is_constants(self):
         for spec in (ARCHETYPE, GroupSpec(p=2, n=2, ell=1, e=1)):
-            assert a_space_dims(spec, 1)[0] == 1
-            assert b_space_dims(spec, 1)[0] == 0
+            assert verify_decomposition(spec, 1).rows[0][1:3] == (1, 0)
 
     def test_b_empty_for_p2_n2(self):
-        assert b_space_dims(GroupSpec(p=2, n=2, ell=1, e=1), 1).total == 0
-        assert b_space_dims(GroupSpec(p=2, n=2, ell=1, e=1), 2).total == 0
+        for m in (1, 2):
+            rows = verify_decomposition(GroupSpec(p=2, n=2, ell=1, e=1), m).rows
+            assert sum(r[2] for r in rows) == 0
 
     def test_b_p3_n2_single_class(self):
-        hf = b_space_dims(GroupSpec(p=3, n=2, ell=1, e=1), 1)
-        assert hf.dims == (0, 0, 0, 0, 1)
+        rows = verify_decomposition(GroupSpec(p=3, n=2, ell=1, e=1), 1).rows
+        assert tuple(r[2] for r in rows) == (0, 0, 0, 0, 1)
 
     def test_smallest_case_split(self):
         rep = verify_decomposition(GroupSpec(p=2, n=2, ell=1, e=1), 1)
